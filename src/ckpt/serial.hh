@@ -22,6 +22,10 @@
  * trades space for byte-level determinism and simplicity — checkpoint
  * files are transient artifacts, not archives.
  *
+ * Every container element takes at least one word on the wire (a
+ * string's characters one byte each), so loading bounds each element
+ * count by the bytes left (checkCount) before sizing anything from it.
+ *
  * Errors are recoverable by design: a truncated or corrupt stream
  * throws ckpt::Error instead of calling emc_fatal, so `emcckpt
  * verify` can exit nonzero, bench::runMany can fail one job without
@@ -109,6 +113,25 @@ class Ar
 
     /** True when a loading archive consumed every byte. */
     bool exhausted() const { return loading() && pos_ == rd_size_; }
+
+    /**
+     * Load side: reject an element count @p n read from the stream
+     * when @p n elements of at least @p min_bytes each cannot fit in
+     * the bytes left. Containers call this before sizing themselves,
+     * so a corrupt count throws ckpt::Error rather than bad_alloc or
+     * length_error. A no-op when saving.
+     */
+    void
+    checkCount(std::uint64_t n, std::uint64_t min_bytes) const
+    {
+        if (saving_ || n <= (rd_size_ - pos_) / min_bytes)
+            return;
+        throw Error("checkpoint truncated or corrupt: count "
+                    + std::to_string(n)
+                    + " at offset " + std::to_string(pos_ - 8)
+                    + " exceeds the " + std::to_string(rd_size_ - pos_)
+                    + " bytes left");
+    }
 
     /**
      * The primitive: one 64-bit little-endian word. Loading past the
@@ -235,6 +258,7 @@ class Ar
     {
         std::uint64_t n = v.size();
         raw64(n);
+        checkCount(n, 1);
         if (loading())
             v.assign(static_cast<std::size_t>(n), '\0');
         for (std::size_t i = 0; i < v.size(); i += 8) {
@@ -260,6 +284,7 @@ class Ar
     {
         std::uint64_t n = v.size();
         raw64(n);
+        checkCount(n, 8);
         if (loading()) {
             v.clear();
             v.resize(static_cast<std::size_t>(n));
@@ -278,6 +303,7 @@ class Ar
     {
         std::uint64_t n = v.size();
         raw64(n);
+        checkCount(n, 8);  // bounds n, so n * 8 cannot overflow
         if constexpr (std::endian::native == std::endian::little) {
             const std::size_t len = static_cast<std::size_t>(n) * 8;
             if (saving_) {
@@ -287,13 +313,6 @@ class Ar
                 buf_.insert(buf_.end(), p, p + len);
                 pos_ += len;
                 return;
-            }
-            if (pos_ + len > rd_size_) {
-                throw Error(
-                    "checkpoint truncated: need "
-                    + std::to_string(len) + " bytes at offset "
-                    + std::to_string(pos_) + " of "
-                    + std::to_string(rd_size_));
             }
             v.resize(static_cast<std::size_t>(n));
             if (len != 0)
@@ -314,6 +333,7 @@ class Ar
     {
         std::uint64_t n = v.size();
         raw64(n);
+        checkCount(n, 8);
         if (loading())
             v.assign(static_cast<std::size_t>(n), false);
         for (std::size_t i = 0; i < v.size(); ++i) {
@@ -330,6 +350,7 @@ class Ar
     {
         std::uint64_t n = v.size();
         raw64(n);
+        checkCount(n, 8);
         if (loading()) {
             v.clear();
             v.resize(static_cast<std::size_t>(n));
@@ -344,6 +365,7 @@ class Ar
     {
         std::uint64_t n = v.size();
         raw64(n);
+        checkCount(n, 8);
         if (loading()) {
             v.clear();
             v.resize(static_cast<std::size_t>(n));
@@ -374,6 +396,7 @@ class Ar
             }
             return;
         }
+        checkCount(n, 16);
         v.clear();
         for (std::uint64_t i = 0; i < n; ++i) {
             K k{};
@@ -397,6 +420,7 @@ class Ar
             }
             return;
         }
+        checkCount(n, 8);
         v.clear();
         for (std::uint64_t i = 0; i < n; ++i) {
             K k{};
@@ -424,6 +448,7 @@ class Ar
             }
             return;
         }
+        checkCount(n, 16);
         v.clear();
         v.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {
@@ -448,6 +473,7 @@ class Ar
                 io(k);
             return;
         }
+        checkCount(n, 8);
         v.clear();
         v.reserve(static_cast<std::size_t>(n));
         for (std::uint64_t i = 0; i < n; ++i) {

@@ -11,15 +11,22 @@
  *  - warmup-level images fork into differing EMC/prefetcher configs,
  *    deterministically (byte-identical images run-to-run)
  *  - config-hash gating, corrupt/truncated images, and refusal paths
+ *  - container element counts read from a stream are bounded by the
+ *    bytes left, so a corrupt count throws ckpt::Error
  *  - bench harness: per-job failure isolation in runMany(), the
  *    shared-vs-per-job warmup equivalence of runManyWarmShared(), and
  *    crash-resume through EMC_CKPT_DIR autosaves
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <deque>
 #include <filesystem>
+#include <map>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include <unistd.h>
@@ -227,6 +234,88 @@ TEST(CkptFull, CorruptImagesAreRejected)
         EXPECT_THROW(sys.restoreCheckpoint(tmpPath("missing.ckpt")),
                      emc::ckpt::Error);
     }
+}
+
+namespace
+{
+
+/** A stream holding the count @p n followed by @p words zero words. */
+std::vector<std::uint8_t>
+countImage(std::uint64_t n, std::uint64_t words)
+{
+    emc::ckpt::Ar ar = emc::ckpt::Ar::saver();
+    ar.raw64(n);
+    for (std::uint64_t i = 0; i < words; ++i) {
+        std::uint64_t zero = 0;
+        ar.raw64(zero);
+    }
+    return ar.takeBytes();
+}
+
+/** Load a @p T from @p bytes; true when ckpt::Error was thrown. */
+template <class T>
+bool
+loadThrowsCkptError(const std::vector<std::uint8_t> &bytes)
+{
+    T v{};
+    try {
+        emc::ckpt::load(v, bytes);
+    } catch (const emc::ckpt::Error &) {
+        return true;
+    }
+    return false;
+}
+
+} // namespace
+
+TEST(CkptSerial, HugeCountsThrowCkptError)
+{
+    for (std::uint64_t n : {std::uint64_t{1} << 40,
+                            std::uint64_t{1} << 61}) {
+        const auto img = countImage(n, 2);
+        EXPECT_TRUE(loadThrowsCkptError<std::vector<std::uint64_t>>(img))
+            << n;
+        EXPECT_TRUE(loadThrowsCkptError<std::vector<std::uint32_t>>(img))
+            << n;
+        EXPECT_TRUE(loadThrowsCkptError<std::vector<bool>>(img)) << n;
+        EXPECT_TRUE(loadThrowsCkptError<std::deque<int>>(img)) << n;
+        EXPECT_TRUE(loadThrowsCkptError<std::string>(img)) << n;
+        EXPECT_TRUE((loadThrowsCkptError<
+                        std::unordered_map<std::uint64_t, std::uint64_t>>(
+            img)))
+            << n;
+        EXPECT_TRUE(
+            loadThrowsCkptError<std::unordered_set<std::uint64_t>>(img))
+            << n;
+        EXPECT_TRUE(
+            (loadThrowsCkptError<std::map<std::uint64_t, std::uint64_t>>(
+                img)))
+            << n;
+    }
+}
+
+TEST(CkptSerial, CountsThatFitStillLoad)
+{
+    // Four payload words: exactly four words or two pairs.
+    const auto four = countImage(4, 4);
+    std::vector<std::uint64_t> words;
+    emc::ckpt::load(words, four);
+    EXPECT_EQ(words.size(), 4u);
+    std::vector<std::uint32_t> narrow;
+    emc::ckpt::load(narrow, four);
+    EXPECT_EQ(narrow.size(), 4u);
+    EXPECT_TRUE(loadThrowsCkptError<std::vector<std::uint64_t>>(
+        countImage(5, 4)));
+
+    emc::ckpt::Ar ar = emc::ckpt::Ar::saver();
+    std::uint64_t two = 2;
+    ar.raw64(two);
+    for (std::uint64_t k = 1; k <= 4; ++k)
+        ar.raw64(k);
+    std::unordered_map<std::uint64_t, std::uint64_t> map;
+    emc::ckpt::load(map, ar.takeBytes());
+    EXPECT_EQ(map.size(), 2u);
+    EXPECT_EQ(map.at(3), 4u);
 }
 
 TEST(CkptFull, RefusesRestoreAfterRunAndSaveUnderTracing)
