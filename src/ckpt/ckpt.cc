@@ -319,6 +319,12 @@ std::vector<std::uint8_t>
 inflateBytes(const std::uint8_t *z, std::size_t n, std::size_t raw_size)
 {
 #ifdef EMC_HAVE_ZLIB
+    // Deflate expands at most 1032:1, so a larger claimed size is a
+    // corrupt header: refuse it before allocating.
+    if (raw_size > n * 1032 + 64)
+        throw Error("inflate size " + std::to_string(raw_size)
+                    + " impossible for a " + std::to_string(n)
+                    + "-byte stream");
     std::vector<std::uint8_t> raw(raw_size);
     uLongf got = static_cast<uLongf>(raw_size);
     const int rc = uncompress(raw.data(), &got, z,

@@ -160,7 +160,8 @@ deflateBytes(const std::uint8_t *raw, std::size_t n);
 /**
  * Inflate a bare zlib stream produced by deflateBytes() back into
  * exactly @p raw_size bytes. Throws ckpt::Error on a corrupt stream,
- * a size mismatch, or a zlib-less build.
+ * a size mismatch, a @p raw_size beyond deflate's 1032:1 ratio
+ * (checked before allocating), or a zlib-less build.
  */
 std::vector<std::uint8_t>
 inflateBytes(const std::uint8_t *z, std::size_t n, std::size_t raw_size);

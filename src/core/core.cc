@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <unordered_set>
 #include <cstdio>
+#include <utility>
 
 #include "common/log.hh"
 
@@ -17,6 +18,16 @@ namespace
 constexpr std::uint32_t kTaintDepthCap = 32;
 
 constexpr std::uint16_t kNoPreg = 0xffff;
+
+/** Keep @p pages distinct and in last-occurrence order as @p vp recurs. */
+void
+noteLastOccurrence(std::vector<Addr> &pages, Addr vp)
+{
+    auto it = std::find(pages.begin(), pages.end(), vp);
+    if (it != pages.end())
+        pages.erase(it);
+    pages.push_back(vp);
+}
 
 } // namespace
 
@@ -44,8 +55,8 @@ Core::Core(CoreId id, const CoreConfig &cfg, TraceSource *trace,
         free_list_.push_back(static_cast<std::uint16_t>(p - 1));
 }
 
-Core::RobEntry *
-Core::bySeq(std::uint64_t seq)
+const Core::RobEntry *
+Core::bySeq(std::uint64_t seq) const
 {
     if (rob_.empty())
         return nullptr;
@@ -55,9 +66,15 @@ Core::bySeq(std::uint64_t seq)
     const std::uint64_t idx = seq - head_seq;
     if (idx >= rob_.size())
         return nullptr;
-    RobEntry &e = rob_[idx];
+    const RobEntry &e = rob_[idx];
     emc_assert(e.seq == seq, "ROB seq indexing broken");
     return &e;
+}
+
+Core::RobEntry *
+Core::bySeq(std::uint64_t seq)
+{
+    return const_cast<RobEntry *>(std::as_const(*this).bySeq(seq));
 }
 
 void
@@ -359,26 +376,28 @@ Core::wakeup(std::uint16_t preg)
 void
 Core::issueStage()
 {
-    // Move this cycle's retries to the front of consideration.
-    if (!retry_q_.empty()) {
+    // This cycle's retries come first. When every one is parked behind
+    // an unresolved store, re-running them would only repeat their TLB
+    // hits, so they stay in retry_q_ and the hits are replayed.
+    if (!retry_q_.empty() && !replayParkedRetries()) {
         for (auto rit = retry_q_.rbegin(); rit != retry_q_.rend(); ++rit)
             ready_q_.push_front(*rit);
         retry_q_.clear();
+        parked_pages_.clear();
     }
 
+    const std::uint64_t epoch = sq_epoch_;
+    bool parked = true;
     unsigned issued = 0;
-    std::size_t scanned = 0;
-    while (issued < cfg_.issue_width && scanned < ready_q_.size()) {
-        const std::uint64_t seq = ready_q_[scanned];
+    while (issued < cfg_.issue_width && !ready_q_.empty()) {
+        const std::uint64_t seq = ready_q_.front();
+        ready_q_.pop_front();
         RobEntry *e = bySeq(seq);
-        if (!e || e->issued || e->completed) {
-            ready_q_.erase(ready_q_.begin() + scanned);
+        if (!e || e->issued || e->completed)
             continue;
-        }
         if (e->offloaded) {
             // Offloaded uops execute at the EMC; drop them from the
             // ready queue (chainResult re-queues them on cancel).
-            ready_q_.erase(ready_q_.begin() + scanned);
             continue;
         }
 
@@ -403,12 +422,58 @@ Core::issueStage()
                 --rs_occupancy_;
             }
             ++issued;
-            ready_q_.erase(ready_q_.begin() + scanned);
         } else {
-            // Structural hazard (MSHR/ring backpressure): retry.
+            // Store-queue block or MSHR/ring backpressure: retry.
             retry_q_.push_back(seq);
-            ready_q_.erase(ready_q_.begin() + scanned);
+            if (parked && e->sq_block_epoch == epoch)
+                noteLastOccurrence(parked_pages_, pageNum(e->d.vaddr));
+            else
+                parked = false;
         }
+    }
+    if (parked && sq_epoch_ == epoch && !retry_q_.empty()) {
+        parked_epoch_ = epoch;
+    } else {
+        parked_epoch_ = 0;
+        parked_pages_.clear();
+    }
+}
+
+bool
+Core::replayParkedRetries()
+{
+    // Exact because parked retries sit at the front of issue and never
+    // succeed, so issue width never cuts them off; the residency guard
+    // makes every one of their translate() calls a hit, and repeated
+    // hits leave the LRU stack in last-occurrence order.
+    if (parked_epoch_ != sq_epoch_
+        || !tlb_.replayHits(parked_pages_, retry_q_.size())) {
+        return false;
+    }
+    if (check_)
+        checkParkedRetries();
+    return true;
+}
+
+void
+Core::checkParkedRetries() const
+{
+    const std::string comp = "core" + std::to_string(id_);
+    std::vector<Addr> pages;
+    for (std::uint64_t seq : retry_q_) {
+        const RobEntry *e = bySeq(seq);
+        if (!e || e->issued || e->completed || e->offloaded
+            || !isLoad(e->d.uop.op)
+            || scanStoreQueue(*e) != SqScan::kBlocked) {
+            check_->fail("parked_load", comp, seq,
+                         "parked retry would not block on the store queue");
+            continue;
+        }
+        noteLastOccurrence(pages, pageNum(e->d.vaddr));
+    }
+    if (pages != parked_pages_) {
+        check_->fail("parked_load", comp, 0,
+                     "parked pages differ from the retries' pages");
     }
 }
 
@@ -445,6 +510,11 @@ Core::tryExecuteLoad(RobEntry &e)
     const Addr paddr = tlb_.translate(*pt_, vaddr, walk);
     e.paddr = paddr;
 
+    // A load blocked behind an unresolved store stays blocked until
+    // the store queue's answer can change (sq_epoch_ moves).
+    if (e.sq_block_epoch == sq_epoch_)
+        return false;
+
     // Address-taint bookkeeping for dependent-miss identification.
     if (e.src1_preg != kNoPreg && prf_[e.src1_preg].taint) {
         e.addr_tainted = true;
@@ -452,26 +522,16 @@ Core::tryExecuteLoad(RobEntry &e)
         e.addr_taint_src = prf_[e.src1_preg].taint_src;
     }
 
-    // Conservative memory disambiguation: the core has no replay
-    // machinery, so a load waits until every older store has computed
-    // its address, then forwards on a match.
-    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
-        if (it->seq >= e.seq)
-            continue;
-        if (!it->addr_known) {
-            // Offloaded stores resolve at the EMC; younger loads may
-            // bypass them (the LSQ-populate conflict check cancels the
-            // chain on a real collision).
-            RobEntry *st = bySeq(it->seq);
-            if (st && st->offloaded)
-                continue;
-            return false;  // retry once the store resolves
-        }
-        if (it->vaddr == vaddr) {
-            scheduleComplete(e, now_ + 1 + walk, e.d.mem_value);
-            ++stats_.uops_executed;
-            return true;
-        }
+    switch (scanStoreQueue(e)) {
+      case SqScan::kBlocked:
+        e.sq_block_epoch = sq_epoch_;
+        return false;  // retry once the store resolves
+      case SqScan::kForward:
+        scheduleComplete(e, now_ + 1 + walk, e.d.mem_value);
+        ++stats_.uops_executed;
+        return true;
+      case SqScan::kClear:
+        break;
     }
 
     const Addr line = lineAlign(paddr);
@@ -500,6 +560,30 @@ Core::tryExecuteLoad(RobEntry &e)
     ++stats_.uops_executed;
     maybeHermesProbe(line, e.d.uop.pc, vaddr);
     return true;
+}
+
+Core::SqScan
+Core::scanStoreQueue(const RobEntry &e) const
+{
+    // Conservative memory disambiguation: the core has no replay
+    // machinery, so a load waits until every older store has computed
+    // its address, then forwards on a match.
+    for (auto it = sq_.rbegin(); it != sq_.rend(); ++it) {
+        if (it->seq >= e.seq)
+            continue;
+        if (!it->addr_known) {
+            // Offloaded stores resolve at the EMC; younger loads may
+            // bypass them (the LSQ-populate conflict check cancels the
+            // chain on a real collision).
+            const RobEntry *st = bySeq(it->seq);
+            if (st && st->offloaded)
+                continue;
+            return SqScan::kBlocked;
+        }
+        if (it->vaddr == e.d.vaddr)
+            return SqScan::kForward;
+    }
+    return SqScan::kClear;
 }
 
 void
@@ -546,6 +630,7 @@ Core::executeStore(RobEntry &e)
             sqe.paddr = paddr;
             sqe.value = data;
             sqe.addr_known = true;
+            ++sq_epoch_;
             break;
         }
     }
@@ -1020,6 +1105,7 @@ Core::buildChain(RobEntry &source, ChainRequest &chain)
     for (std::uint64_t seq : marked) {
         RobEntry *e = bySeq(seq);
         e->offloaded = true;
+        ++sq_epoch_;
         if (e->in_rs) {
             e->in_rs = false;
             emc_assert(rs_occupancy_ > 0, "RS underflow (chain)");
@@ -1039,6 +1125,7 @@ Core::unOffloadChain(const ChainRequest &chain)
         if (!e || e->completed)
             continue;
         e->offloaded = false;
+        ++sq_epoch_;
         e->in_rs = true;
         ++rs_occupancy_;  // may transiently overshoot on cancel
         auto pit = pending_srcs_.find(e->seq);
@@ -1167,6 +1254,7 @@ Core::chainResult(const ChainResult &result)
             if (!e || e->completed || !e->offloaded)
                 continue;
             e->offloaded = false;
+            ++sq_epoch_;
             e->in_rs = true;
             ++rs_occupancy_;
             auto pit = pending_srcs_.find(e->seq);
@@ -1192,6 +1280,7 @@ Core::chainResult(const ChainResult &result)
                     sqe.paddr = pt_->translate(e->d.vaddr);
                     sqe.value = e->d.mem_value;
                     sqe.addr_known = true;
+                    ++sq_epoch_;
                     break;
                 }
             }

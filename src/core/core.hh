@@ -485,6 +485,9 @@ class Core
         std::uint64_t addr_taint_src = 0;  ///< seq of the source miss
         Cycle ready_cycle = kNoCycle;      ///< completion schedule
         std::uint64_t pending_value = 0;   ///< value written at complete
+        /// sq_epoch_ at which this load last found an older unresolved
+        /// store; 0 = no memo (a restored load rescans once).
+        std::uint64_t sq_block_epoch = 0;  // ckpt-skip: (scan memo)
 
         template <class A>
         void
@@ -565,11 +568,31 @@ class Core
 
     // ---- helpers ----
     RobEntry *bySeq(std::uint64_t seq);
+    const RobEntry *bySeq(std::uint64_t seq) const;
     bool robFull() const { return rob_.size() >= cfg_.rob_size; }
     bool stalledOnMissHead() const;
     void wakeup(std::uint16_t preg);
     void executeAlu(RobEntry &e);
     bool tryExecuteLoad(RobEntry &e);
+
+    /** What the older stores in the SQ mean for a load. */
+    enum class SqScan { kClear, kForward, kBlocked };
+
+    /**
+     * Conservative disambiguation of load @p e against the store queue
+     * (side-effect free; tryExecuteLoad acts on the answer).
+     */
+    SqScan scanStoreQueue(const RobEntry &e) const;
+
+    /**
+     * Parked-retry fast path (DESIGN.md §5c): when every retry is a
+     * load blocked at the current sq_epoch_ and its pages are still
+     * TLB-resident, replay the retries' TLB hits in place of re-running
+     * them. @retval false if the retries must run.
+     */
+    bool replayParkedRetries();
+    /** Checked runs: every parked retry must still block (reference). */
+    void checkParkedRetries() const;
     void executeStore(RobEntry &e);
     void scheduleComplete(RobEntry &e, Cycle when, std::uint64_t value);
     void completeEntry(RobEntry &e, std::uint64_t value, bool from_emc);
@@ -636,9 +659,17 @@ class Core
     Tlb tlb_;
     HybridBranchPredictor bp_;
 
-    // Scheduling machinery (kept O(1)-amortized per cycle).
+    // Scheduling machinery: issue pops ready_q_ from the front; a
+    // cycle whose retries are all parked costs O(parked pages).
     std::deque<std::uint64_t> ready_q_;    ///< seqs ready to issue
-    std::vector<std::uint64_t> retry_q_;   ///< structural-hazard retries
+    std::vector<std::uint64_t> retry_q_;   ///< loads that failed to issue
+    /// Bumped whenever a store-queue scan's answer can change: a store
+    /// address resolves or an offloaded flag flips.
+    std::uint64_t sq_epoch_ = 1;  // ckpt-skip: (scan memo clock)
+    /// sq_epoch_ at which every retry_q_ entry was store-blocked; 0 = no.
+    std::uint64_t parked_epoch_ = 0;  // ckpt-skip: (scan memo)
+    /// Distinct virtual pages of retry_q_, in last-occurrence order.
+    std::vector<Addr> parked_pages_;  // ckpt-skip: (scan memo)
     std::unordered_map<std::uint16_t,
                        std::vector<std::uint64_t>> preg_waiters_;
     std::unordered_map<std::uint64_t, unsigned> pending_srcs_;

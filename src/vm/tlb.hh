@@ -71,6 +71,27 @@ class Tlb
         return pt.translate(vaddr);
     }
 
+    /**
+     * Replay @p accesses translate() calls that all hit, whose distinct
+     * virtual pages in last-occurrence order are @p pages. Hits never
+     * evict, so the calls would have moved each page to MRU in that
+     * order and counted @p accesses hits; do exactly that.
+     * @retval false (and change nothing) if a page is not resident, as
+     *         the real calls would then miss and insert.
+     */
+    bool
+    replayHits(const std::vector<Addr> &pages, std::uint64_t accesses)
+    {
+        for (Addr vp : pages) {
+            if (map_.find(vp) == map_.end())
+                return false;
+        }
+        for (Addr vp : pages)
+            lru_.splice(lru_.begin(), lru_, map_.find(vp)->second);
+        hits_ += accesses;
+        return true;
+    }
+
     std::uint64_t hits() const { return hits_; }
     std::uint64_t misses() const { return misses_; }
 

@@ -2,15 +2,17 @@
  * @file
  * Checkpoint/restore subsystem tests (DESIGN.md §7):
  *
- *  - full-level roundtrip exactness on a fig13-class config: save at
- *    cycle C (measured phase or mid-warmup), restore, run to the end
- *    — every stat bit-identical to an uninterrupted run, and the
- *    saving run itself unperturbed
+ *  - full-level roundtrip exactness on fig13-class mcf and lbm
+ *    configs: save at cycle C (measured phase or mid-warmup), restore,
+ *    run to the end — every stat bit-identical to an uninterrupted
+ *    run, the saving run itself unperturbed, and an image saved later
+ *    byte-equal to one saved at that cycle by an uninterrupted run
  *  - restored state passes the src/check invariant suite with zero
  *    violations
  *  - warmup-level images fork into differing EMC/prefetcher configs,
  *    deterministically (byte-identical images run-to-run)
- *  - config-hash gating, corrupt/truncated images, and refusal paths
+ *  - config-hash gating, corrupt/truncated images, forged inflate
+ *    sizes, and refusal paths
  *  - container element counts read from a stream are bounded by the
  *    bytes left, so a corrupt count throws ckpt::Error
  *  - bench harness: per-job failure isolation in runMany(), the
@@ -101,29 +103,58 @@ tmpPath(const std::string &name)
            + std::to_string(::getpid()) + "_" + name;
 }
 
-} // namespace
-
-TEST(CkptFull, RoundtripIsExact)
+/**
+ * Save at mid-run, restore, run to the end: the saving and restored
+ * runs dump the straight run's stats. Then a full image saved at one
+ * later cycle is byte-equal between a straight run and the restored
+ * run, which covers state no stat shows (TLB hit counter, LRU order).
+ */
+void
+expectRoundtripExact(const SystemConfig &cfg,
+                     const std::vector<std::string> &mix)
 {
-    const SystemConfig cfg = fig13Config();
-    System straight(cfg, fig13Mix());
+    System straight(cfg, mix);
     straight.run();
     const StatDump d_straight = straight.dump();
     // Past warmup (500 uops/core retire well within half the run).
     const Cycle mid = straight.cycles() / 2;
+    const Cycle late = mid + straight.cycles() / 4;
 
     const std::string path = tmpPath("roundtrip.ckpt");
-    System saver(cfg, fig13Mix());
+    System saver(cfg, mix);
     saver.scheduleCheckpoint(path, mid);
     saver.run();
     // Saving is observation-only: the saver's own run is unperturbed.
     expectIdentical(d_straight, saver.dump(), "saving run");
 
-    System restored(cfg, fig13Mix());
+    const std::string late_restored = tmpPath("late_restored.ckpt");
+    System restored(cfg, mix);
     restored.restoreCheckpoint(path);
+    restored.scheduleCheckpoint(late_restored, late);
     restored.run();
     expectIdentical(d_straight, restored.dump(), "restored run");
-    std::remove(path.c_str());
+
+    const std::string late_straight = tmpPath("late_straight.ckpt");
+    System straight_late(cfg, mix);
+    straight_late.scheduleCheckpoint(late_straight, late);
+    straight_late.run();
+    expectIdentical(d_straight, straight_late.dump(), "late-saving run");
+    EXPECT_EQ(emc::ckpt::readFile(late_straight),
+              emc::ckpt::readFile(late_restored))
+        << "full image at cycle " << late
+        << " differs between the straight and restored runs";
+    for (const std::string &p : {path, late_restored, late_straight})
+        std::remove(p.c_str());
+}
+
+} // namespace
+
+TEST(CkptFull, RoundtripIsExact)
+{
+    expectRoundtripExact(fig13Config(), fig13Mix());
+    // Streaming lbm: loads sit parked behind unresolved stores for most
+    // of the run, so the saves land mid-stall.
+    expectRoundtripExact(fig13Config(), emc::bench::homo("lbm"));
 }
 
 TEST(CkptFull, MidWarmupSaveRoundtrips)
@@ -234,6 +265,26 @@ TEST(CkptFull, CorruptImagesAreRejected)
         EXPECT_THROW(sys.restoreCheckpoint(tmpPath("missing.ckpt")),
                      emc::ckpt::Error);
     }
+}
+
+TEST(CkptFull, ForgedInflateSizeIsRejected)
+{
+    if (!emc::ckpt::compressionAvailable())
+        GTEST_SKIP() << "no zlib in this build";
+    const std::vector<std::uint8_t> raw(4096, 7);
+    std::vector<std::uint8_t> z = emc::ckpt::compressImage(raw);
+    // A 2^40-byte raw size in the EMCKPTZ header must be refused
+    // before anything is allocated for it.
+    const std::uint64_t forged = std::uint64_t{1} << 40;
+    for (unsigned i = 0; i < 8; ++i)
+        z[8 + i] = static_cast<std::uint8_t>(forged >> (8 * i));
+    EXPECT_THROW(emc::ckpt::maybeDecompressImage(z), emc::ckpt::Error);
+    EXPECT_THROW(emc::ckpt::inflateBytes(z.data() + 16, z.size() - 16,
+                                         forged),
+                 emc::ckpt::Error);
+    EXPECT_EQ(emc::ckpt::inflateBytes(z.data() + 16, z.size() - 16,
+                                      raw.size()),
+              raw);
 }
 
 namespace

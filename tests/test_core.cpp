@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <list>
 #include <vector>
 
 #include "core/core.hh"
@@ -262,6 +264,54 @@ TEST(CoreTest, StoreForwarding)
     EXPECT_EQ(h.core.retired(), 4u);
     // The load forwarded from the store queue: no memory request.
     EXPECT_TRUE(h.chip.requests.empty());
+}
+
+TEST(CoreTest, LoadsBlockedBehindStoreRetryEveryCycle)
+{
+    // One store whose data comes from an outstanding L1 miss holds N
+    // younger loads over K pages behind it (conservative
+    // disambiguation). Every stalled cycle each load translates again:
+    // N TLB hits per cycle, leaving the K pages at the MRU end in
+    // last-occurrence order.
+    const std::vector<unsigned> page_of = {0, 1, 2, 0, 2, 1, 0, 3, 1, 3};
+    const Addr page_base = 0x40000;
+    std::vector<DynUop> prog;
+    prog.push_back(movImm(1, 0x5000));
+    prog.push_back(load(2, 1, 0, 0x5000, 42));  // L1 miss: store data
+    prog.push_back(movImm(3, 0x9000));
+    prog.push_back(store(3, 2, 0, 0x9000, 42));
+    prog.push_back(movImm(4, static_cast<std::int64_t>(page_base)));
+    for (std::size_t i = 0; i < page_of.size(); ++i) {
+        const std::int64_t off = page_of[i] * kPageBytes + i * 64;
+        prog.push_back(load(5, 4, off, page_base + off, i));
+    }
+    const std::uint64_t n = page_of.size();
+
+    CoreHarness h(prog);
+    h.chip.run(h.core, 20);  // everything dispatched and tried once
+    ASSERT_EQ(h.core.retired(), 1u);  // only the first mov; load 2 waits
+    for (int c = 0; c < 100; ++c) {
+        const std::uint64_t before = h.core.tlb().hits();
+        h.chip.step(h.core);
+        EXPECT_EQ(h.core.tlb().hits(), before + n) << "stalled cycle " << c;
+    }
+
+    std::vector<Addr> mru_first;
+    for (auto it = page_of.rbegin(); it != page_of.rend(); ++it) {
+        const Addr vp = pageNum(page_base) + *it;
+        if (std::find(mru_first.begin(), mru_first.end(), vp)
+            == mru_first.end()) {
+            mru_first.push_back(vp);
+        }
+    }
+    const std::list<Addr> &lru = h.core.tlb().residentPages();
+    ASSERT_GE(lru.size(), mru_first.size());
+    EXPECT_TRUE(std::equal(mru_first.begin(), mru_first.end(), lru.begin()));
+
+    // The fill resolves the store; every load then issues and retires.
+    h.chip.run(h.core, 600);
+    EXPECT_EQ(h.core.retired(), prog.size());
+    EXPECT_EQ(h.core.stats().uops_executed, prog.size());
 }
 
 TEST(CoreTest, RetiredStoresDrainWriteThrough)
