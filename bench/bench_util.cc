@@ -452,13 +452,8 @@ runManyWarmShared(const SystemConfig &warm_cfg,
                   const std::vector<std::string> &benchmarks,
                   const std::vector<SystemConfig> &cfgs)
 {
-    bool shared = true;
-    if (const char *e = std::getenv("EMC_CKPT_SHARED_WARMUP"))
-        shared = std::string(e) != "0";
-
-    std::vector<std::uint8_t> warm;
-    if (shared)
-        warm = System(warm_cfg, benchmarks).warmupCheckpointBytes();
+    const std::vector<std::uint8_t> warm =
+        System(warm_cfg, benchmarks).warmupCheckpointBytes();
 
     if (const unsigned procs = benchProcs()) {
         // The warm image is materialized *before* the fork, so every
@@ -471,15 +466,10 @@ runManyWarmShared(const SystemConfig &warm_cfg,
             results = sweep::runSharded(
                 cfgs.size(), procs,
                 [&](std::size_t i, std::FILE *msg) {
-                    std::vector<std::uint8_t> own;
-                    if (!shared) {
-                        own = System(warm_cfg, benchmarks)
-                                  .warmupCheckpointBytes();
-                    }
                     SystemConfig cfg = cfgs[i];
                     cfg.warmup_uops = 0;
                     System sys(cfg, benchmarks);
-                    sys.restoreCheckpointBytes(shared ? warm : own);
+                    sys.restoreCheckpointBytes(warm);
                     maybeAttachStream(sys, i, msg);
                     sys.run();
                     return sys.dump();
@@ -502,14 +492,10 @@ runManyWarmShared(const SystemConfig &warm_cfg,
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
         pool.submit([&, i] {
             try {
-                std::vector<std::uint8_t> own;
-                if (!shared)
-                    own = System(warm_cfg, benchmarks)
-                              .warmupCheckpointBytes();
                 SystemConfig cfg = cfgs[i];
                 cfg.warmup_uops = 0;
                 System sys(cfg, benchmarks);
-                sys.restoreCheckpointBytes(shared ? warm : own);
+                sys.restoreCheckpointBytes(warm);
                 sys.run();
                 results[i] = sys.dump();
             } catch (const std::exception &e) {

@@ -122,12 +122,9 @@ runManySharded(const std::vector<RunJob> &jobs, unsigned procs,
  * @p cfgs from that same snapshot. Every cfg must agree with
  * @p warm_cfg on the warmup-relevant fields (cores, cache geometry,
  * seed, workload) but may vary EMC / prefetcher / DRAM parameters —
- * exactly the fields an ablation sweeps.
- *
- * EMC_CKPT_SHARED_WARMUP=0 disables the sharing: each job then warms
- * up independently from @p warm_cfg. Because warmup is deterministic
- * the per-job images are byte-identical to the shared one, so results
- * do not change — only the redundant warmup work comes back.
+ * exactly the fields an ablation sweeps. Warmup is deterministic, so
+ * the results equal warming each config independently from
+ * @p warm_cfg — only the redundant warmup work is saved.
  * EMC_TRACE is ignored for these runs (restore refuses tracers).
  */
 std::vector<StatDump>

@@ -9,10 +9,11 @@
  * and the save / restore wall costs and image size are recorded.
  *
  * Part 2 measures the warm-once-fork-many win: N ablation-style
- * config points run once with the shared warmup image and once with
- * per-job warmup (EMC_CKPT_SHARED_WARMUP=0), pinned to one worker
- * thread so the wall-clock difference is the redundant warmup work
- * and not scheduling luck. Both modes must produce identical stats.
+ * config points run once through runManyWarmShared() (one shared
+ * warmup image) and once with every config warming up on its own,
+ * both on one thread so the wall-clock difference is the redundant
+ * warmup work and not scheduling luck. Both must produce identical
+ * stats.
  *
  * Usage: micro_ckpt [--smoke] [output.json]
  *   --smoke   tiny run lengths (CI sanity run)
@@ -145,29 +146,30 @@ main(int argc, char **argv)
     std::printf("shared-warmup sweep (%zu config points, 1 thread)\n",
                 cfgs.size());
     setenv("EMC_BENCH_THREADS", "1", 1);
-
-    setenv("EMC_CKPT_SHARED_WARMUP", "1", 1);
     const auto s0 = std::chrono::steady_clock::now();
     const std::vector<StatDump> shared =
         runManyWarmShared(warm_cfg, mix, cfgs);
     const auto s1 = std::chrono::steady_clock::now();
-
-    setenv("EMC_CKPT_SHARED_WARMUP", "0", 1);
-    const auto n0 = std::chrono::steady_clock::now();
-    const std::vector<StatDump> perjob =
-        runManyWarmShared(warm_cfg, mix, cfgs);
-    const auto n1 = std::chrono::steady_clock::now();
-    unsetenv("EMC_CKPT_SHARED_WARMUP");
     unsetenv("EMC_BENCH_THREADS");
 
+    // The unshared baseline: every config warms up on its own.
+    const auto n0 = std::chrono::steady_clock::now();
     for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        if (!sameStats(shared[i], perjob[i],
+        const std::vector<std::uint8_t> own =
+            System(warm_cfg, mix).warmupCheckpointBytes();
+        SystemConfig point = cfgs[i];
+        point.warmup_uops = 0;
+        System sys(point, mix);
+        sys.restoreCheckpointBytes(own);
+        sys.run();
+        if (!sameStats(shared[i], sys.dump(),
                        ("shared vs per-job warmup, config "
                         + std::to_string(i))
                            .c_str())) {
             return 1;
         }
     }
+    const auto n1 = std::chrono::steady_clock::now();
 
     const double shared_s = seconds(s0, s1);
     const double perjob_s = seconds(n0, n1);

@@ -4,17 +4,15 @@ cd "$(dirname "$0")"
 mkdir -p results
 : > results/campaign.log
 for b in build/bench/*; do
-    [ -x "$b" ] || continue
+    # Regular executables only: build/bench/CMakeFiles is a directory,
+    # and directories pass [ -x ].
+    { [ -f "$b" ] && [ -x "$b" ]; } || continue
     name=$(basename "$b")
-    case "$name" in
-        micro_primitives)
-            echo "[$(date +%H:%M:%S)] $name" >> results/campaign.log
-            "$b" --benchmark_min_time=0.2s > "results/$name.txt" 2>&1
-            ;;
-        *)
-            echo "[$(date +%H:%M:%S)] $name" >> results/campaign.log
-            "$b" > "results/$name.txt" 2>&1
-            ;;
-    esac
+    echo "[$(date +%H:%M:%S)] $name" >> results/campaign.log
+    if [ "$name" = micro_primitives ]; then
+        "$b" --benchmark_min_time=0.2s > "results/$name.txt" 2>&1
+    else
+        "$b" > "results/$name.txt" 2>&1
+    fi
 done
 echo "[$(date +%H:%M:%S)] CAMPAIGN DONE" >> results/campaign.log

@@ -1,19 +1,12 @@
 #!/bin/bash
-# Final deliverable runs: full test suite and every bench, tee'd to the
-# files the top-level instructions name, plus per-figure snapshots.
+# Final deliverable runs: the full test suite tee'd to test_output.txt,
+# then every bench (run_benches.sh) with its outputs concatenated into
+# bench_output.txt.
 cd "$(dirname "$0")"
-ctest --test-dir build 2>&1 | tee /root/repo/test_output.txt
-: > /root/repo/bench_output.txt
-mkdir -p results
+ctest --test-dir build 2>&1 | tee test_output.txt
+bash run_benches.sh
+: > bench_output.txt
 for b in build/bench/*; do
     { [ -f "$b" ] && [ -x "$b" ]; } || continue
-    name=$(basename "$b")
-    echo "[final] $name" >> results/campaign.log
-    if [ "$name" = micro_primitives ]; then
-        "$b" --benchmark_min_time=0.2s > "results/$name.txt" 2>&1
-    else
-        "$b" > "results/$name.txt" 2>&1
-    fi
-    cat "results/$name.txt" >> /root/repo/bench_output.txt
+    cat "results/$(basename "$b").txt" >> bench_output.txt
 done
-echo "[final] FINAL DONE" >> results/campaign.log

@@ -268,7 +268,8 @@ Core::fetchRenameDispatch()
             have_deferred_uop_ = true;
             deferred_uop_ = d;
         } else if (!trace_->next(d)) {
-            return;  // trace exhausted
+            trace_dry_ = true;
+            return;
         } else {
             have_deferred_uop_ = true;
             deferred_uop_ = d;

@@ -293,6 +293,15 @@ class Core
     /** A fetched-but-undispatched uop is parked in the front-end. */
     bool hasDeferredUop() const { return have_deferred_uop_; }
 
+    /** The trace ran dry and nothing fetched from it is in flight:
+     *  this core can never retire another uop. */
+    bool
+    traceDrained() const
+    {
+        return trace_dry_ && !have_deferred_uop_ && rob_.empty()
+               && replay_q_.empty();
+    }
+
     /** The dependent-miss trigger counter (tests). */
     const SatCounter &depMissCounter() const { return dep_counter_; }
 
@@ -694,6 +703,8 @@ class Core
     Cycle fetch_resume_ = 0;
     bool have_deferred_uop_ = false;
     DynUop deferred_uop_;
+    /// The last fetch found the trace exhausted.
+    bool trace_dry_ = false;  // ckpt-skip: (re-derived by the next fetch)
 
     // Full-window stall / chain generation state
     bool full_window_stall_ = false;

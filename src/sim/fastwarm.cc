@@ -133,13 +133,14 @@ System::fastForward(const std::vector<std::uint64_t> &uops_per_core)
         for (unsigned i = 0; i < cfg_.num_cores; ++i) {
             if (left[i] == 0)
                 continue;
-            if (cores_[i]->warmStep(port)) {
-                --left[i];
-                ++consumed;
-                any = true;
-            } else {
-                left[i] = 0;
+            if (!cores_[i]->warmStep(port)) {
+                throwTraceOverrun(i, "fast-forwarded",
+                                  uops_per_core[i] - left[i],
+                                  uops_per_core[i]);
             }
+            --left[i];
+            ++consumed;
+            any = true;
         }
     }
     return consumed;
@@ -203,8 +204,10 @@ System::runSampled(const SampleParams &p)
         }
         auto window_done = [&] {
             for (unsigned i = 0; i < cfg_.num_cores; ++i) {
-                if (cores_[i]->retired() < goal[i])
+                if (cores_[i]->retired() < goal[i]) {
+                    checkTraceLeft(i, goal[i]);
                     return false;
+                }
             }
             return true;
         };

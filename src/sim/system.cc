@@ -111,11 +111,9 @@ System::System(const SystemConfig &cfg,
             std::make_unique<PageTable>(i, cfg.seed + i));
         std::unique_ptr<TraceSource> src;
         if (i < cfg.trace_files.size() && !cfg.trace_files[i].empty()) {
-            // Replay a captured trace (looping so long runs and
-            // warmup never exhaust it). Dispatches on the container
-            // version: v2 gets the streaming trace::Reader, v1 the
-            // legacy FileTrace.
-            src = trace::openTraceFile(cfg.trace_files[i], true);
+            // Replay a captured trace; it ends at its last record
+            // (checkTraceLeft turns a shortfall into trace::Error).
+            src = trace::openTraceFile(cfg.trace_files[i]);
         } else {
             src = std::make_unique<SyntheticProgram>(
                 profileByName(benchmarks[i]), *memories_.back(),
@@ -1513,8 +1511,10 @@ System::maybeSnapshotCore(unsigned i)
         return;
     if (cfg_.warmup_uops > 0 && !warmed_up_)
         return;
-    if (cores_[i]->retired() < cfg_.target_uops)
+    if (cores_[i]->retired() < cfg_.target_uops) {
+        checkTraceLeft(i, cfg_.target_uops);
         return;
+    }
     snapshotted_[i] = true;
     finish_cycle_[i] = now_;
     finish_snapshot_[i] = cores_[i]->stats();
@@ -1556,10 +1556,35 @@ bool
 System::allRetired(std::uint64_t target) const
 {
     for (unsigned i = 0; i < cfg_.num_cores; ++i) {
-        if (cores_[i]->retired() < target)
+        if (cores_[i]->retired() < target) {
+            checkTraceLeft(i, target);
             return false;
+        }
     }
     return true;
+}
+
+void
+System::checkTraceLeft(unsigned i, std::uint64_t target) const
+{
+    if (cores_[i]->traceDrained())
+        throwTraceOverrun(i, "retired", cores_[i]->retired(), target);
+}
+
+void
+System::throwTraceOverrun(unsigned i, const char *verb,
+                          std::uint64_t done, std::uint64_t target) const
+{
+    // Only replayed files run dry (generators never do). The failing
+    // read is the one past the last record, where the blocks end.
+    const std::string &path = cfg_.trace_files.at(i);
+    throw trace::Error("core " + std::to_string(i) + " exhausted trace "
+                           + path + " after "
+                           + std::to_string(programs_[i]->produced())
+                           + " uops: " + verb + " "
+                           + std::to_string(done) + " of its "
+                           + std::to_string(target) + "-uop target",
+                       trace::probeFile(path).index_offset);
 }
 
 void

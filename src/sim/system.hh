@@ -34,7 +34,7 @@
 #include "sim/config.hh"
 #include "sim/event_queue.hh"
 #include "sim/fastwarm.hh"
-#include "isa/trace_io.hh"
+#include "isa/trace.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
 #include "workload/synthetic.hh"
@@ -84,24 +84,25 @@ class System : public CorePort
     System(const System &) = delete;
     System &operator=(const System &) = delete;
 
-    /** Run until every core reaches its uop target (or max_cycles). */
+    /** Run until every core reaches its uop target (or max_cycles);
+     *  trace::Error if a replayed trace runs out first. */
     void run();
 
     // ---- functional warming + sampling (DESIGN.md §8; fastwarm.cc) --
 
     /**
-     * Fast-forward every core by up to @p uops_per_core uops through
-     * the functional-warming path: architectural registers, branch
+     * Fast-forward every core by @p uops_per_core uops through the
+     * functional-warming path: architectural registers, branch
      * predictors, TLBs, L1s, LLC and the EMC miss predictors advance;
      * no cycle passes and no timing state is touched. The machine must
      * be quiescent (freshly constructed, or drained between sample
-     * windows). @return uops actually consumed, summed over cores.
+     * windows). Throws trace::Error if a replayed trace runs out
+     * first. @return uops consumed, summed over cores.
      */
     std::uint64_t fastForward(std::uint64_t uops_per_core);
 
     /**
-     * Per-core variant: core i consumes up to @p uops_per_core[i]
-     * uops. Validation mode uses this to replay the exact dispatched
+     * Per-core variant: core i consumes @p uops_per_core[i] uops. Validation mode uses this to replay the exact dispatched
      * count of a detailed warmup, which can differ across cores.
      */
     std::uint64_t
@@ -495,6 +496,14 @@ class System : public CorePort
     /** Jump the clock over a quiescent gap (no-op when busy). */
     void maybeSkipIdle();
     bool allRetired(std::uint64_t target) const;
+    /** Throw trace::Error if core @p i drained its trace short of
+     *  @p target retired uops (it could only spin to max_cycles). */
+    void checkTraceLeft(unsigned i, std::uint64_t target) const;
+    /** The trace::Error for core @p i's exhausted trace: @p done of
+     *  @p target uops @p verb ("retired", "fast-forwarded"). */
+    [[noreturn]] void throwTraceOverrun(unsigned i, const char *verb,
+                                        std::uint64_t done,
+                                        std::uint64_t target) const;
     void handleSliceArrive(std::uint64_t token);
     void handleSliceLookup(std::uint64_t token);
     void handleSliceStore(std::uint64_t token);

@@ -3,7 +3,7 @@
  * Coordinator/worker implementation for runSharded() (sweep.hh).
  *
  * This file is the one place in the tree allowed to spawn processes
- * (tools/lint_sim.py `process-spawn`): every fork is paired with a
+ * (tools/emclint `process-spawn`): every fork is paired with a
  * waitpid and every pipe end has a single owner, so process plumbing
  * stays auditable in one translation unit.
  */

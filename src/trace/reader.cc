@@ -5,7 +5,6 @@
 
 #include "ckpt/ckpt.hh"
 #include "ckpt/serial.hh"
-#include "isa/trace_io.hh"
 
 namespace emc::trace
 {
@@ -74,19 +73,10 @@ probeOpen(std::FILE *f, const std::string &path)
     readAt(f, 0, head, sizeof head, "header magic");
     if (std::memcmp(head, kMagic, 4) != 0)
         throw Error("not an EMCT trace file: " + path, 0);
-    info.version = getU32(head + 4);
-
-    if (info.version == 1) {
-        // Legacy fixed-record dump: magic, u32 version, u64 count.
-        std::uint8_t cnt[8];
-        readAt(f, 8, cnt, sizeof cnt, "v1 record count");
-        info.uop_count = getU64(cnt);
-        info.header_bytes = 16;
-        return info;
-    }
-    if (info.version != kVersion)
+    const std::uint32_t version = getU32(head + 4);
+    if (version != kVersion)
         throw Error("unsupported trace version "
-                        + std::to_string(info.version) + " in " + path,
+                        + std::to_string(version) + " in " + path,
                     4);
 
     std::uint8_t fixed[kHeaderFixedBytes];
@@ -139,19 +129,13 @@ probeFile(const std::string &path)
     return probeOpen(f.f, path);
 }
 
-Reader::Reader(const std::string &path, bool loop)
-    : path_(path), loop_(loop)
+Reader::Reader(const std::string &path)
 {
     file_ = std::fopen(path.c_str(), "rb");
     if (!file_)
         throw Error("cannot open trace file: " + path, 0);
     try {
         info_ = probeOpen(file_, path);
-        if (info_.version != kVersion)
-            throw Error("Reader needs a v2 trace (openTraceFile() "
-                        "dispatches v1 files): "
-                            + path,
-                        4);
         if (!info_.finalized())
             throw Error("trace was never finalized (writer did not "
                         "close cleanly): "
@@ -202,13 +186,6 @@ Reader::~Reader()
 }
 
 void
-Reader::readRaw(void *bytes, std::size_t n, std::uint64_t at,
-                const char *what)
-{
-    readAt(file_, at, bytes, n, what);
-}
-
-void
 Reader::loadBlock(std::size_t block_idx)
 {
     const IndexEntry &e = index_[block_idx];
@@ -219,7 +196,7 @@ Reader::loadBlock(std::size_t block_idx)
         - e.first_uop;
 
     std::uint8_t bh[kBlockHeaderBytes];
-    readRaw(bh, sizeof bh, e.offset, "block header");
+    readAt(file_, e.offset, bh, sizeof bh, "block header");
     const std::uint32_t uops = getU32(bh);
     const std::uint32_t raw_bytes = getU32(bh + 4);
     const std::uint32_t stored_bytes = getU32(bh + 8);
@@ -236,7 +213,7 @@ Reader::loadBlock(std::size_t block_idx)
 
     const std::uint64_t body_at = e.offset + kBlockHeaderBytes;
     std::vector<std::uint8_t> body(stored_bytes);
-    readRaw(body.data(), body.size(), body_at, "block payload");
+    readAt(file_, body_at, body.data(), body.size(), "block payload");
     if (codec == kCodecDeflate) {
         try {
             raw_ = ckpt::inflateBytes(body.data(), body.size(),
@@ -274,11 +251,8 @@ Reader::loadBlock(std::size_t block_idx)
 bool
 Reader::next(DynUop &out)
 {
-    if (pos_ >= info_.uop_count) {
-        if (!loop_ || info_.uop_count == 0)
-            return false;
-        seekTo(0);
-    }
+    if (pos_ >= info_.uop_count)
+        return false;
     if (!block_valid_ || block_read_ >= block_uops_) {
         const std::size_t idx = block_valid_ ? block_idx_ + 1 : 0;
         if (idx >= index_.size())
@@ -333,27 +307,19 @@ Reader::ckptSer(ckpt::Ar &ar)
     std::uint64_t produced = produced_;
     ar.io(produced);
     if (ar.loading()) {
-        // O(block) restore: seek straight to the stream position (v1
-        // FileTrace replays the whole prefix here).
-        if (info_.uop_count == 0 && produced != 0)
-            throw ckpt::Error("checkpointed position in an empty "
-                              "trace");
-        if (info_.uop_count != 0)
-            seekTo(produced % info_.uop_count);
-        produced_ = produced;
-        if (produced > pos_ && !loop_)
+        // O(block) restore: seek straight to the stream position.
+        if (produced > info_.uop_count)
             throw ckpt::Error("trace file shorter than checkpointed "
                               "position");
+        seekTo(produced);
+        produced_ = produced;
     }
 }
 
 std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path, bool loop)
+openTraceFile(const std::string &path)
 {
-    const Info info = probeFile(path);
-    if (info.version == 1)
-        return std::make_unique<FileTrace>(path, loop);
-    return std::make_unique<Reader>(path, loop);
+    return std::make_unique<Reader>(path);
 }
 
 std::uint64_t

@@ -32,10 +32,10 @@ class Reader : public TraceSource
   public:
     /**
      * Open and validate @p path: header, index presence, index magic.
-     * @param loop restart from the beginning when exhausted
-     * Throws Error on anything structurally wrong.
+     * Throws Error on anything structurally wrong, including a
+     * version other than 2.
      */
-    explicit Reader(const std::string &path, bool loop = false);
+    explicit Reader(const std::string &path);
     ~Reader() override;
 
     Reader(const Reader &) = delete;
@@ -61,14 +61,10 @@ class Reader : public TraceSource
     void seekTo(std::uint64_t uop_index);
 
   private:
-    void readRaw(void *bytes, std::size_t n, std::uint64_t at,
-                 const char *what);
     void loadBlock(std::size_t block_idx);
 
     std::FILE *file_ = nullptr;
-    std::string path_;
     Info info_;
-    bool loop_;
 
     struct IndexEntry
     {
@@ -92,14 +88,12 @@ class Reader : public TraceSource
 };
 
 /**
- * Open @p path as a TraceSource, dispatching on the container
- * version: v2 files get the streaming Reader, v1 files the legacy
- * fixed-record FileTrace of src/isa/trace_io. This is the only
- * sanctioned way for simulator code to consume a trace file. Throws
- * trace::Error on a missing file or unknown version.
+ * Open @p path as a TraceSource (a streaming Reader). This is the
+ * only sanctioned way for simulator code to consume a trace file.
+ * The source ends at the last record; it never wraps. Throws
+ * trace::Error on a missing file or a version other than 2.
  */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
-                                           bool loop = false);
+std::unique_ptr<TraceSource> openTraceFile(const std::string &path);
 
 /**
  * Walk every block of a v2 file end to end: validate the header,

@@ -1,9 +1,12 @@
 /**
  * @file
- * Chain wire-codec round-trip property test (run under ASan in CI):
+ * Chain wire-codec tests (run under ASan in CI). The property test:
  * random valid chains encode -> decode -> re-encode byte-identically,
  * and every wire-travelled field survives the round trip. Randomness
- * comes from the repo's seeded Rng so failures reproduce exactly.
+ * comes from the repo's seeded Rng so failures reproduce exactly. A
+ * hand-built chain pins the 6-byte uop size, live-in spilling and
+ * inline negative immediates, and a short EMC run checks that every
+ * chain the core generates fits the wire format.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +20,7 @@
 #include "common/rng.hh"
 #include "emc/chain.hh"
 #include "emc/chain_codec.hh"
+#include "sim/system.hh"
 
 namespace emc
 {
@@ -220,6 +224,112 @@ TEST(ChainCodecRoundTrip, WideImmediateSpillsIntoLiveInVector)
 
     const ChainRequest back = decodeChain(enc);
     EXPECT_EQ(back.uops.at(0).d.uop.imm, 0x123456789abLL);
+}
+
+// ---------------------------------------------------------------
+// Hand-built chain: one uop of every wire-format case
+// ---------------------------------------------------------------
+
+ChainUop
+chainUop(Opcode op, std::uint8_t dst, std::uint8_t src1,
+         std::uint8_t src2, std::int64_t imm, std::uint8_t epr_dst,
+         std::uint8_t epr_src1, std::uint8_t epr_src2)
+{
+    ChainUop cu;
+    cu.d.uop.op = op;
+    cu.d.uop.dst = dst;
+    cu.d.uop.src1 = src1;
+    cu.d.uop.src2 = src2;
+    cu.d.uop.imm = imm;
+    cu.epr_dst = epr_dst;
+    cu.epr_src1 = epr_src1;
+    cu.epr_src2 = epr_src2;
+    return cu;
+}
+
+ChainRequest
+buildTestChain()
+{
+    constexpr std::uint8_t R = kNoReg;
+    constexpr std::uint8_t E = kNoEpr;
+    ChainRequest c;
+    c.id = 42;
+    c.core = 2;
+    c.source_paddr_line = 0x7fc0;
+    c.source_value = 0xabcdef;
+    c.source_epr = 0;
+    c.live_in_count = 1;
+    c.uops = {
+        chainUop(Opcode::kLoad, 1, 1, R, 0, 0, E, E),  // source miss
+        chainUop(Opcode::kAdd, 2, 1, R, 0x18, 1, 0, E),
+        chainUop(Opcode::kXor, 3, 2, 4, 0, 2, 1, E),   // src2 live-in
+        chainUop(Opcode::kMov, 5, R, R, 0x40000000, 3, E, E),  // wide imm
+        chainUop(Opcode::kLoad, 6, 2, R, -8, 4, 1, E),
+        chainUop(Opcode::kStore, R, 2, 6, 0, E, 1, 4),
+        chainUop(Opcode::kBranch, R, 2, R, 0, E, 1, E),
+    };
+    c.uops[0].is_source = true;
+    c.uops[0].d.vaddr = 0x7fc8;
+    c.uops[0].d.mem_value = 0xabcdef;
+    c.uops[2].src2_live_in = true;
+    c.uops[2].src2_val = 0x123456789abcdef0ull;
+    c.uops[4].d.vaddr = 0xbeef00;
+    c.uops[5].is_spill_store = true;
+    c.uops[6].d.taken = true;
+    for (std::size_t i = 0; i < c.uops.size(); ++i)
+        c.uops[i].rob_seq = 100 + i;
+    return c;
+}
+
+TEST(ChainCodecTest, SixBytesPerUop)
+{
+    const ChainRequest c = buildTestChain();
+    EncodedChain enc;
+    ASSERT_TRUE(encodeChain(c, enc));
+    EXPECT_EQ(enc.uop_bytes.size(), 6 * c.uops.size());
+    // One captured live-in plus one wide immediate.
+    EXPECT_EQ(enc.live_ins.size(), 2u);
+    EXPECT_EQ(enc.wireBytes(), 6 * c.uops.size() + 16);
+}
+
+TEST(ChainCodecTest, RoundTripPreservesExecutableFields)
+{
+    const ChainRequest c = buildTestChain();
+    EncodedChain enc;
+    ASSERT_TRUE(encodeChain(c, enc));
+    const ChainRequest d = decodeChain(enc);
+
+    ASSERT_EQ(d.uops.size(), c.uops.size());
+    EXPECT_EQ(d.id, c.id);
+    EXPECT_EQ(d.core, c.core);
+    EXPECT_EQ(d.source_paddr_line, c.source_paddr_line);
+    EXPECT_EQ(d.source_epr, c.source_epr);
+    EXPECT_EQ(d.live_in_count, c.live_in_count + 0u);
+    for (unsigned i = 0; i < c.uops.size(); ++i)
+        expectUopEqual(c.uops[i], d.uops[i], i);
+}
+
+TEST(ChainCodecTest, NegativeImmediateInline)
+{
+    ChainRequest c = buildTestChain();
+    EncodedChain enc;
+    ASSERT_TRUE(encodeChain(c, enc));
+    const ChainRequest d = decodeChain(enc);
+    EXPECT_EQ(d.uops[4].d.uop.imm, -8);
+}
+
+TEST(ChainCodecTest, GeneratedChainsAlwaysEncodable)
+{
+    // Every chain the core generates for real workloads must fit the
+    // paper's wire format (this is asserted in the System too; here
+    // it is exercised directly via a quick simulation).
+    SystemConfig cfg;
+    cfg.emc_enabled = true;
+    cfg.target_uops = 4000;
+    cfg.max_cycles = 4'000'000;
+    System sys(cfg, {"mcf", "omnetpp", "mcf", "omnetpp"});
+    sys.run();  // emc_assert inside offloadChain would panic on failure
+    EXPECT_GT(sys.dump().get("emc.chains_accepted"), 0.0);
 }
 
 } // namespace

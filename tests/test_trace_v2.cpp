@@ -2,10 +2,10 @@
  * @file
  * Tests for the v2 compressed trace container (src/trace/,
  * DESIGN.md §11): round-trip fidelity across block boundaries, size
- * vs the v1 fixed-record dump, seek-index positioning, v1/v2 dispatch
- * through openTraceFile, typed structural errors with byte offsets,
- * and the record/replay stat-identity guarantee on a fig13-class
- * single-core run.
+ * vs the v1 fixed-record layout, seek-index positioning, v1 rejection,
+ * typed structural errors with byte offsets, replays past the trace's
+ * end, and record/replay stat identity (and checkpoint resume) on a
+ * fig13-class single-core run.
  */
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "common/rng.hh"
-#include "isa/trace_io.hh"
 #include "mem/functional_memory.hh"
 #include "sim/system.hh"
 #include "trace/reader.hh"
@@ -211,7 +210,6 @@ TEST(TraceV2Test, ProvenanceSurvives)
         w.close();
     }
     const trace::Info info = trace::probeFile(path);
-    EXPECT_EQ(info.version, trace::kVersion);
     EXPECT_EQ(info.uop_count, 1u);
     EXPECT_EQ(info.provenance.workload, "bfs");
     EXPECT_EQ(info.provenance.meta, "unit-test recipe");
@@ -226,21 +224,17 @@ TEST(TraceV2Test, ProvenanceSurvives)
 
 TEST(TraceV2Test, AtLeastFourTimesSmallerThanV1)
 {
+    // v1 stored a 16-byte header plus a fixed 46-byte record per uop.
     for (const char *profile : {"mcf", "bfs"}) {
         const std::vector<DynUop> ref = genUops(profile, 20000, 11);
-        const std::string v1 = tmpPath("size.v1.emct");
         const std::string v2 = tmpPath("size.v2.emct");
         {
-            TraceWriter w1(v1);
             trace::Writer w2(v2);
-            for (const DynUop &d : ref) {
-                w1.append(d);
+            for (const DynUop &d : ref)
                 w2.append(d);
-            }
-            w1.close();
             w2.close();
         }
-        const std::size_t b1 = fileBytes(v1);
+        const std::size_t b1 = 16 + 46 * ref.size();
         const std::size_t b2 = fileBytes(v2);
         EXPECT_GE(b1, 4 * b2)
             << profile << ": v1=" << b1 << " v2=" << b2 << " ratio="
@@ -276,57 +270,32 @@ TEST(TraceV2Test, SeekToMatchesSequentialRead)
     EXPECT_FALSE(r.next(d));
 }
 
-TEST(TraceV2Test, LoopModeWraps)
-{
-    const std::vector<DynUop> ref = genUops("mcf", 50, 9);
-    const std::string path = tmpPath("loop.emct");
-    {
-        trace::Writer w(path, {}, true, 16);
-        for (const DynUop &d : ref)
-            w.append(d);
-        w.close();
-    }
-    trace::Reader r(path, /*loop=*/true);
-    DynUop d;
-    for (int i = 0; i < 125; ++i) {
-        ASSERT_TRUE(r.next(d)) << i;
-        expectSameUop(d, ref[i % 50], i);
-    }
-    EXPECT_EQ(r.produced(), 125u);
-}
-
 // --------------------------------------------------------------------
-// Version dispatch
+// Versions
 // --------------------------------------------------------------------
 
-TEST(TraceV2Test, OpenTraceFileReadsV1AndV2)
+TEST(TraceV2Test, V1HeaderIsRejected)
 {
-    const std::vector<DynUop> ref = genUops("mcf", 120, 21);
-    const std::string v1 = tmpPath("dispatch.v1.emct");
-    const std::string v2 = tmpPath("dispatch.v2.emct");
-    {
-        TraceWriter w1(v1);
-        trace::Writer w2(v2);
-        for (const DynUop &d : ref) {
-            w1.append(d);
-            w2.append(d);
+    // A v1 header: magic, u32 version = 1, u64 record count = 0.
+    const std::string path = tmpPath("v1header.emct");
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite("EMCT\1\0\0\0\0\0\0\0\0\0\0\0", 1, 16, f), 16u);
+    std::fclose(f);
+    for (bool via_open : {false, true}) {
+        try {
+            if (via_open)
+                trace::openTraceFile(path);
+            else
+                trace::probeFile(path);
+            FAIL() << "v1 header accepted, via_open=" << via_open;
+        } catch (const trace::Error &e) {
+            EXPECT_EQ(e.offset(), 4u) << e.what();
+            EXPECT_NE(std::string(e.what()).find("version 1"),
+                      std::string::npos)
+                << e.what();
         }
-        w1.close();
-        w2.close();
     }
-    for (const std::string &path : {v1, v2}) {
-        auto src = trace::openTraceFile(path);
-        DynUop d;
-        for (std::uint64_t i = 0; i < ref.size(); ++i) {
-            ASSERT_TRUE(src->next(d)) << path;
-            expectSameUop(d, ref[i], i);
-        }
-        EXPECT_FALSE(src->next(d));
-    }
-    // probeFile reports the version either way.
-    EXPECT_EQ(trace::probeFile(v1).version, 1u);
-    EXPECT_EQ(trace::probeFile(v2).version, trace::kVersion);
-    EXPECT_EQ(trace::probeFile(v1).uop_count, 120u);
 }
 
 // --------------------------------------------------------------------
@@ -428,6 +397,55 @@ TEST(TraceV2Test, CorruptionFailsChecksumWithOffset)
 }
 
 // --------------------------------------------------------------------
+// Replays that need more uops than the trace holds
+// --------------------------------------------------------------------
+
+TEST(TraceV2Test, ReplayPastTheEndThrows)
+{
+    // 500 recorded uops cannot carry a 2000-uop run: the core drains
+    // what it fetched and the run must fail with trace::Error, not
+    // wrap around, panic or spin until max_cycles.
+    SystemConfig cfg;
+    cfg.num_cores = 1;
+    cfg.emc_enabled = true;
+    cfg.target_uops = 2000;
+    cfg.warmup_uops = 0;
+    cfg.max_cycles = 1'000'000;  // a regression fails here, not hangs
+
+    trace::RecordSpec spec;
+    spec.profile = "bfs";
+    spec.path = tmpPath("short.emct");
+    spec.uops = 500;
+    spec.base_seed = cfg.seed;
+    trace::recordProfile(spec);
+    cfg.trace_files = {spec.path};
+
+    System sys(cfg, {"bfs"});
+    try {
+        sys.run();
+        FAIL() << "run() outlived its trace";
+    } catch (const trace::Error &e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("core 0 exhausted trace " + spec.path
+                           + " after 500 uops: retired"),
+                  std::string::npos)
+            << msg;
+        EXPECT_NE(msg.find("of its 2000-uop target"), std::string::npos)
+            << msg;
+    }
+
+    // Sampled simulation fails the same way, in a detailed window...
+    const SampleParams all_detail{1000, 1000};  // period, detail
+    System sampled(cfg, {"bfs"});
+    EXPECT_THROW(sampled.runSampled(all_detail), trace::Error);
+
+    // ...and so does fast-forwarding (fastwarm images, sampled gaps).
+    cfg.warmup_uops = 1000;
+    System warm(cfg, {"bfs"});
+    EXPECT_THROW(warm.fastwarmCheckpointBytes(), trace::Error);
+}
+
+// --------------------------------------------------------------------
 // Record / replay stat identity (fig13-class single core)
 // --------------------------------------------------------------------
 
@@ -466,6 +484,17 @@ TEST(TraceV2Test, RecordedReplayIsStatIdenticalToLiveRun)
         EXPECT_EQ(il->first, ir->first);
         EXPECT_EQ(il->second, ir->second) << il->first;
     }
+
+    // A full image saved mid-replay restores the reader's position:
+    // the resumed replay ends on the same stats.
+    const std::string image = tmpPath("replay.ckpt");
+    System saver(replay_cfg, {"mcf"});
+    saver.scheduleCheckpoint(image, replayed.cycles() / 2);
+    saver.run();
+    System resumed(replay_cfg, {"mcf"});
+    resumed.restoreCheckpoint(image);
+    resumed.run();
+    EXPECT_EQ(resumed.dump().all(), d_replay.all());
 }
 
 } // namespace

@@ -20,8 +20,7 @@ emclint checks them statically:
 
 Run it as `python3 tools/emclint [paths...]`; see `--help` for output
 formats (text / json / sarif), baseline handling and frontend
-selection.  `tools/lint_sim.py` remains the regex fallback for
-environments without Python ≥3.8.
+selection.
 """
 
 __version__ = "1.0"

@@ -81,15 +81,14 @@ class TraceHookRule(Rule):
 
 
 #: The only code allowed to touch trace-container bytes directly.
-_RAW_IO_EXEMPT = ("src/trace/", "src/isa/trace_io")
+_RAW_IO_EXEMPT = ("src/trace/",)
 
 
 @register
 class TraceRawIoRule(Rule):
     name = "trace-raw-io"
     description = ("Trace-container bytes are parsed only by "
-                   "src/trace/ (and the legacy v1 reader in "
-                   "src/isa/trace_io): everything else goes through "
+                   "src/trace/: everything else goes through "
                    "trace::openTraceFile / probeFile, so version "
                    "checks, checksums and typed errors cannot be "
                    "bypassed.")

@@ -1,6 +1,7 @@
 // Fixture: ckpt-coverage known-good — every exemption category from
-// DESIGN.md §10 plus both placements of a justified ckpt-skip.
-// Nothing in this file may be flagged.
+// DESIGN.md §10 plus both placements of a justified ckpt-skip — and
+// ckpt-field near misses (a value cast inside ser(), a host-address
+// cast outside it). Nothing in this file may be flagged.
 
 namespace fx
 {
@@ -13,8 +14,12 @@ public:
     template <class A> void ser(A &ar)
     {
         ar.io(pos_);
+        ar.io(static_cast<std::uint64_t>(kWays));
         ar.io(dirty_);
     }
+
+    // Host-address casts are fine outside serialization code.
+    const char *bytes() const { return reinterpret_cast<const char *>(&pos_); }
 
 private:
     static constexpr int kWays = 4;     // static: not per-instance state

@@ -1,5 +1,6 @@
-// Fixture: known-good determinism idioms — none of these may be
-// flagged. The regex ancestor tripped on several of them.
+// Fixture: known-good determinism idioms — near misses for rng,
+// process-spawn, raw-new, event-push and unordered-iter. None of these
+// may be flagged. The regex ancestor tripped on several of them.
 
 namespace fx
 {
@@ -26,6 +27,18 @@ struct GoodCitizen
     {
         return new Widget();
     }
+
+    // Only events_ must go through schedule(), and ordered containers
+    // iterate deterministically.
+    void enqueueAndWalk(int ev)
+    {
+        pending_.push(ev);
+        for (auto &kv : ordered_)
+            (void)kv;
+    }
+
+    Queue pending_;
+    std::map<long, long> ordered_;
 };
 
 } // namespace fx

@@ -95,7 +95,8 @@ class FixtureCorpusTest(unittest.TestCase):
 
     def test_known_good_files_are_clean(self):
         clean_files = {"determinism_good.cc", "warm_good.cc",
-                       "ckpt_good.hh", "src/sweep/spawn_ok.cc",
+                       "ckpt_good.hh", "stats_good.cc",
+                       "trace_good.cc", "src/sweep/spawn_ok.cc",
                        "src/obs/trace_ok.cc"}
         dirty = sorted(rel for (rel, _, _) in self.actual
                        if rel in clean_files)
@@ -163,7 +164,7 @@ class TokenFrontendRegressionTest(unittest.TestCase):
 
 
 class CliContractTest(unittest.TestCase):
-    """Exit codes and report formats (same contract as lint_sim.py)."""
+    """Exit codes and report formats."""
 
     def _run(self, argv):
         out, err = io.StringIO(), io.StringIO()
