@@ -6,6 +6,8 @@
 
 #include "ckpt/ckpt.hh"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdio>
 #include <cstring>
 
@@ -219,14 +221,15 @@ assemble(Header h, const std::vector<std::uint8_t> &payload)
     har.io(h);
     const std::vector<std::uint8_t> hb = har.takeBytes();
 
-    std::vector<std::uint8_t> out;
-    out.reserve(8 + 8 + hb.size() + payload.size());
-    out.insert(out.end(), kMagic, kMagic + 8);
+    // Layout: magic, header length (LE u64), header, payload.
+    std::vector<std::uint8_t> out(16 + hb.size() + payload.size());
+    std::memcpy(out.data(), kMagic, 8);
     const std::uint64_t hlen = hb.size();
     for (unsigned i = 0; i < 8; ++i)
-        out.push_back(static_cast<std::uint8_t>(hlen >> (8 * i)));
-    out.insert(out.end(), hb.begin(), hb.end());
-    out.insert(out.end(), payload.begin(), payload.end());
+        out[8 + i] = static_cast<std::uint8_t>(hlen >> (8 * i));
+    std::copy(hb.begin(), hb.end(), out.begin() + 16);
+    std::copy(payload.begin(), payload.end(),
+              out.begin() + 16 + static_cast<std::ptrdiff_t>(hb.size()));
     return out;
 }
 

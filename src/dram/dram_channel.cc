@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "check/check.hh"
 #include "common/log.hh"
 
 namespace emc
@@ -55,30 +56,44 @@ DramChannel::bank(unsigned rank, unsigned b) const
     return banks_.at(rank * geo_.banks_per_rank + b);
 }
 
-Bank &
-DramChannel::bankFor(const DramCoord &c)
+void
+DramChannel::locate(Queued &qe) const
 {
-    return banks_.at(c.rank * geo_.banks_per_rank + c.bank);
+    const DramCoord c = mapAddress(qe.req.paddr, geo_);
+    qe.bank = c.rank * geo_.banks_per_rank + c.bank;
+    qe.row = c.row;
+}
+
+void
+DramChannel::updatePickAfter()
+{
+    pick_after_ = kNoCycle;
+    for (const auto &qe : read_q_)
+        pick_after_ = std::min(pick_after_, banks_[qe.bank].readyCycle());
+    for (const auto &qe : write_q_)
+        pick_after_ = std::min(pick_after_, banks_[qe.bank].readyCycle());
 }
 
 bool
 DramChannel::enqueue(const MemRequest &req, Cycle now)
 {
+    if (!req.is_write && read_q_.size() >= queue_limit_)
+        return false;
     Queued qe;
     qe.req = req;
     qe.req.cycle_mc_enqueue = now;
+    locate(qe);
+    pick_after_ = std::min(pick_after_, banks_[qe.bank].readyCycle());
     if (req.is_write) {
         // Writes are buffered and drained lazily; the write queue is
         // effectively unbounded relative to the workload's needs but a
         // high watermark forces drains before it grows without bound.
         write_q_.push_back(qe);
         ++accepted_writes_;
-        return true;
+    } else {
+        read_q_.push_back(qe);
+        ++accepted_reads_;
     }
-    if (read_q_.size() >= queue_limit_)
-        return false;
-    read_q_.push_back(qe);
-    ++accepted_reads_;
     return true;
 }
 
@@ -91,6 +106,7 @@ DramChannel::maybeRefresh(Cycle now)
     ++stats_.refreshes;
     for (auto &b : banks_)
         b.refresh(now, t_);
+    updatePickAfter();
 }
 
 void
@@ -106,12 +122,10 @@ DramChannel::formBatch()
     std::vector<std::vector<unsigned>> counts(
         num_cores_, std::vector<unsigned>(banks_.size(), 0));
     for (auto &qe : read_q_) {
-        const DramCoord c = mapAddress(qe.req.paddr, geo_);
-        const unsigned bank_idx = c.rank * geo_.banks_per_rank + c.bank;
         const CoreId core = qe.req.core % num_cores_;
-        if (counts[core][bank_idx] < kMarkingCap) {
+        if (counts[core][qe.bank] < kMarkingCap) {
             qe.marked = true;
-            ++counts[core][bank_idx];
+            ++counts[core][qe.bank];
             ++marked_remaining_;
         } else {
             qe.marked = false;
@@ -145,11 +159,10 @@ DramChannel::pickFrFcfs(const std::deque<Queued> &q, Cycle now) const
     int best = -1;
     bool best_hit = false;
     for (std::size_t i = 0; i < q.size(); ++i) {
-        const DramCoord c = mapAddress(q[i].req.paddr, geo_);
-        const Bank &b = banks_[c.rank * geo_.banks_per_rank + c.bank];
+        const Bank &b = banks_[q[i].bank];
         if (b.readyCycle() > now)
             continue;
-        const bool hit = b.classify(c.row) == RowOutcome::kHit;
+        const bool hit = b.classify(q[i].row) == RowOutcome::kHit;
         if (best < 0 || (hit && !best_hit)) {
             best = static_cast<int>(i);
             best_hit = hit;
@@ -161,47 +174,62 @@ DramChannel::pickFrFcfs(const std::deque<Queued> &q, Cycle now) const
 }
 
 int
-DramChannel::pickBatch(Cycle now)
+DramChannel::pickBatch(Cycle now) const
 {
-    if (marked_remaining_ == 0 && !read_q_.empty())
-        formBatch();
+    // Priority: marked > row-hit > thread rank > age. Each ready
+    // candidate's key is built once; lower keys win, ties keep the
+    // older queue position.
+    struct Key
+    {
+        bool unmarked;
+        bool row_miss;
+        std::uint64_t rank;
+        Cycle enqueued;
 
-    // Priority: marked > row-hit > thread rank > age.
-    int best = -1;
-    auto better = [&](const Queued &a, const Queued &b) {
-        if (a.marked != b.marked)
-            return a.marked;
-        const DramCoord ca = mapAddress(a.req.paddr, geo_);
-        const DramCoord cb = mapAddress(b.req.paddr, geo_);
-        const bool ha = banks_[ca.rank * geo_.banks_per_rank + ca.bank]
-                            .classify(ca.row) == RowOutcome::kHit;
-        const bool hb = banks_[cb.rank * geo_.banks_per_rank + cb.bank]
-                            .classify(cb.row) == RowOutcome::kHit;
-        if (ha != hb)
-            return ha;
-        const auto ra = thread_rank_[a.req.core % num_cores_];
-        const auto rb = thread_rank_[b.req.core % num_cores_];
-        if (ra != rb)
-            return ra < rb;
-        return a.req.cycle_mc_enqueue < b.req.cycle_mc_enqueue;
+        auto operator<=>(const Key &) const = default;
     };
+    int best = -1;
+    Key best_key{};
     for (std::size_t i = 0; i < read_q_.size(); ++i) {
-        const DramCoord c = mapAddress(read_q_[i].req.paddr, geo_);
-        const Bank &b = banks_[c.rank * geo_.banks_per_rank + c.bank];
+        const Queued &qe = read_q_[i];
+        const Bank &b = banks_[qe.bank];
         if (b.readyCycle() > now)
             continue;
-        if (best < 0 || better(read_q_[i], read_q_[best]))
+        const Key key{!qe.marked,
+                      b.classify(qe.row) != RowOutcome::kHit,
+                      thread_rank_[qe.req.core % num_cores_],
+                      qe.req.cycle_mc_enqueue};
+        if (best < 0 || key < best_key) {
             best = static_cast<int>(i);
+            best_key = key;
+        }
     }
     return best;
 }
 
+int
+DramChannel::pickRead(Cycle now) const
+{
+    return policy_ == SchedPolicy::kFrFcfs ? pickFrFcfs(read_q_, now)
+                                           : pickBatch(now);
+}
+
 void
-DramChannel::applyActConstraints(const DramCoord &c, Cycle act_cycle)
+DramChannel::checkSkippedPick(Cycle now) const
+{
+    if (pickFrFcfs(write_q_, now) >= 0 || pickRead(now) >= 0) {
+        check_->fail("dram_pick", check_comp_, 0,
+                     "a pick was skipped although a queued request's "
+                     "bank is ready");
+    }
+}
+
+void
+DramChannel::applyActConstraints(unsigned rank, Cycle act_cycle)
 {
     // tRRD between activates in the same rank; tFAW over four.
     for (unsigned b = 0; b < geo_.banks_per_rank; ++b) {
-        auto &bank = banks_[c.rank * geo_.banks_per_rank + b];
+        auto &bank = banks_[rank * geo_.banks_per_rank + b];
         bank.blockActivateUntil(act_cycle + t_.tRRD);
     }
 }
@@ -210,23 +238,21 @@ void
 DramChannel::issue(Queued &qe, Cycle now, bool is_write)
 {
     MemRequest &req = qe.req;
-    const DramCoord c = mapAddress(req.paddr, geo_);
-    Bank &bank = bankFor(c);
+    Bank &bank = banks_[qe.bank];
 
     RowOutcome outcome;
-    Cycle data_start = bank.access(c.row, now, t_, is_write, outcome);
+    Cycle data_start = bank.access(qe.row, now, t_, is_write, outcome);
     data_start = std::max(data_start, bus_free_);
     const Cycle data_done = data_start + t_.tBurst;
     bus_free_ = data_done;
     stats_.busy_bus_cycles += t_.tBurst;
 
     if (outcome != RowOutcome::kHit) {
-        applyActConstraints(c, bank.lastActivate());
+        applyActConstraints(qe.bank / geo_.banks_per_rank,
+                            bank.lastActivate());
         EMC_OBS_POINT(tracer_, obs::TracePoint::kRowAct, now, req.id,
-                      obs::Track::bank(trace_bank_base_
-                                       + c.rank * geo_.banks_per_rank
-                                       + c.bank),
-                      c.row);
+                      obs::Track::bank(trace_bank_base_ + qe.bank),
+                      qe.row);
     }
 
     req.cycle_dram_issue = now;
@@ -279,6 +305,18 @@ DramChannel::tick(Cycle now)
     if (!draining_writes_ && write_q_.size() >= kWriteHigh)
         draining_writes_ = true;
 
+    // Before the horizon no queued request's bank is ready, so both
+    // picks would come back empty. PAR-BS still forms its batch on the
+    // cycle the read pick would have.
+    if (now < pick_after_) {
+        if (check_)
+            checkSkippedPick(now);
+        if (policy_ == SchedPolicy::kBatch && marked_remaining_ == 0
+            && !read_q_.empty())
+            formBatch();
+        return;
+    }
+
     const bool do_write =
         (draining_writes_ || read_q_.empty()) && !write_q_.empty();
 
@@ -287,19 +325,21 @@ DramChannel::tick(Cycle now)
         if (idx >= 0) {
             issue(write_q_[idx], now, true);
             write_q_.erase(write_q_.begin() + idx);
+            updatePickAfter();
             return;
         }
     }
 
     if (!read_q_.empty()) {
-        const int idx = policy_ == SchedPolicy::kFrFcfs
-                            ? pickFrFcfs(read_q_, now)
-                            : pickBatch(now);
+        if (policy_ == SchedPolicy::kBatch && marked_remaining_ == 0)
+            formBatch();
+        const int idx = pickRead(now);
         if (idx >= 0) {
             if (read_q_[idx].marked && marked_remaining_ > 0)
                 --marked_remaining_;
             issue(read_q_[idx], now, false);
             read_q_.erase(read_q_.begin() + idx);
+            updatePickAfter();
         }
     }
 }

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <string>
 #include <vector>
 
 #include "common/types.hh"
@@ -20,6 +21,11 @@
 
 namespace emc
 {
+
+namespace check
+{
+class CheckRegistry;
+}
 
 /** Scheduling policy for the memory controller. */
 enum class SchedPolicy : std::uint8_t
@@ -153,7 +159,24 @@ class DramChannel
         trace_bank_base_ = first_flat_bank;
     }
 
-    /** Checkpoint queues, banks, timing state and counters. */
+    /**
+     * Attach the invariant-check registry (null detaches), reporting
+     * as component @p comp. Observation only: every tick that skips
+     * the picks re-runs them and reports a `dram_pick` violation if
+     * one would have issued.
+     */
+    void
+    setCheck(check::CheckRegistry *reg, std::string comp)
+    {
+        check_ = reg;
+        check_comp_ = std::move(comp);
+    }
+
+    /**
+     * Checkpoint queues, banks, timing state and counters. The cached
+     * bank/row of each queued request and the pick horizon are derived
+     * state, re-derived on load.
+     */
     template <class A>
     void
     ser(A &ar)
@@ -172,14 +195,26 @@ class DramChannel
         ar.io(completed_reads_);
         ar.io(accepted_writes_);
         ar.io(issued_writes_);
+        if (ar.loading()) {
+            for (auto &qe : read_q_)
+                locate(qe);
+            for (auto &qe : write_q_)
+                locate(qe);
+            updatePickAfter();
+        }
     }
 
   private:
-    /** A queued request plus its PAR-BS batch mark. */
+    /**
+     * A queued request plus its PAR-BS batch mark and its bank and
+     * row, mapped once at enqueue.
+     */
     struct Queued
     {
         MemRequest req;
         bool marked = false;   ///< in the current PAR-BS batch
+        unsigned bank = 0;     // ckpt-skip: (derived from req.paddr)
+        std::uint64_t row = 0; // ckpt-skip: (derived from req.paddr)
 
         template <class A>
         void
@@ -190,19 +225,24 @@ class DramChannel
         }
     };
 
+    void locate(Queued &qe) const;
+    void updatePickAfter();
     void maybeRefresh(Cycle now);
     void formBatch();
     int pickFrFcfs(const std::deque<Queued> &q, Cycle now) const;
-    int pickBatch(Cycle now);
+    int pickBatch(Cycle now) const;
+    int pickRead(Cycle now) const;
+    void checkSkippedPick(Cycle now) const;
     void issue(Queued &qe, Cycle now, bool is_write);
-    Bank &bankFor(const DramCoord &c);
-    void applyActConstraints(const DramCoord &c, Cycle act_cycle);
+    void applyActConstraints(unsigned rank, Cycle act_cycle);
 
     DramGeometry geo_;    // ckpt-skip: (config, not state)
     DramTiming t_;        // ckpt-skip: (config, not state)
     SchedPolicy policy_;  // ckpt-skip: (config, not state)
     obs::Tracer *tracer_ = nullptr;
     std::uint32_t trace_bank_base_ = 0;  // ckpt-skip: (obs wiring)
+    check::CheckRegistry *check_ = nullptr;
+    std::string check_comp_;   // ckpt-skip: (check wiring)
     std::size_t queue_limit_;  // ckpt-skip: (config, not state)
     unsigned num_cores_;       // ckpt-skip: (config, not state)
 
@@ -214,6 +254,14 @@ class DramChannel
     Cycle bus_free_ = 0;
     Cycle next_refresh_ = 0;
     bool draining_writes_ = false;
+
+    /**
+     * Earliest readyCycle() over the banks of all queued requests
+     * (kNoCycle when both queues are empty). Before it, no pick can
+     * find a ready bank. Bank ready cycles move only at issue and
+     * refresh, which recompute it; enqueue takes a min.
+     */
+    Cycle pick_after_ = kNoCycle;  // ckpt-skip: (derived, rebuilt on load)
 
     // PAR-BS state
     std::uint64_t marked_remaining_ = 0;

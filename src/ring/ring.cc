@@ -1,5 +1,7 @@
 #include "ring/ring.hh"
 
+#include <algorithm>
+
 namespace emc
 {
 
@@ -22,6 +24,7 @@ Ring::send(const RingMsg &msg, Cycle now)
     RingMsg m = msg;
     m.injected = now;
     inject_q_[m.src].push_back(m);
+    ++queued_;
     ++sent_total_;
     if (is_data_) {
         ++stats_.data_msgs;
@@ -35,60 +38,87 @@ Ring::send(const RingMsg &msg, Cycle now)
 }
 
 std::size_t
-Ring::pending() const
+Ring::countBusy(const Direction &dir)
 {
-    std::size_t n = 0;
+    return static_cast<std::size_t>(
+        std::count_if(dir.slots.begin(), dir.slots.end(),
+                      [](const Slot &s) { return s.busy; }));
+}
+
+std::size_t
+Ring::recountPending() const
+{
+    std::size_t n = countBusy(cw_) + countBusy(ccw_);
     for (const auto &q : inject_q_)
         n += q.size();
-    for (const auto &s : cw_.slots)
-        n += s.busy ? 1 : 0;
-    for (const auto &s : ccw_.slots)
-        n += s.busy ? 1 : 0;
     return n;
 }
 
 void
-Ring::advance(Direction &dir, Cycle now)
+Ring::recount()
 {
-    // Rotate slot contents by one stop, then eject arrivals.
-    std::vector<Slot> next(stops_);
-    for (unsigned i = 0; i < stops_; ++i) {
-        if (!dir.slots[i].busy)
-            continue;
-        const unsigned ni = (i + stops_ + dir.step) % stops_;
-        next[ni] = dir.slots[i];
+    cw_.busy = countBusy(cw_);
+    ccw_.busy = countBusy(ccw_);
+    queued_ = 0;
+    for (const auto &q : inject_q_)
+        queued_ += q.size();
+}
+
+void
+Ring::advance(Direction &dir, Cycle now, bool clear_idle)
+{
+    if (dir.busy == 0) {
+        if (clear_idle) {
+            for (auto &s : dir.slots)
+                s.msg = RingMsg{};
+        }
+        return;
     }
-    dir.slots = std::move(next);
+    // Rotate slot contents by one stop in place, then eject arrivals.
+    // An idle slot carries an empty message, except one that delivered
+    // on the previous advance; clear_idle resets those.
+    if (dir.step > 0)
+        std::rotate(dir.slots.begin(), dir.slots.end() - 1, dir.slots.end());
+    else
+        std::rotate(dir.slots.begin(), dir.slots.begin() + 1, dir.slots.end());
     for (unsigned i = 0; i < stops_; ++i) {
         Slot &s = dir.slots[i];
-        if (s.busy && s.msg.dst == i) {
-            stats_.total_latency +=
-                static_cast<double>(now - s.msg.injected);
-            ++stats_.delivered;
-            ++delivered_total_;
-            switch (s.msg.type) {
-              case MsgType::kChainTransfer:
-              case MsgType::kLiveOut:
-              case MsgType::kEmcFillReply:
-              case MsgType::kLsqPopulate:
-              case MsgType::kEmcLlcQuery:
-                EMC_OBS_POINT(tracer_, obs::TracePoint::kRingMsg, now,
-                              s.msg.token, obs::Track::ring(is_data_),
-                              s.msg.token);
-                break;
-              default:
-                break;
-            }
-            if (deliver_)
-                deliver_(s.msg);
-            s.busy = false;
+        if (!s.busy) {
+            if (clear_idle)
+                s.msg = RingMsg{};
+            continue;
         }
+        if (s.msg.dst != i)
+            continue;
+        stats_.total_latency += static_cast<double>(now - s.msg.injected);
+        ++stats_.delivered;
+        ++delivered_total_;
+        switch (s.msg.type) {
+          case MsgType::kChainTransfer:
+          case MsgType::kLiveOut:
+          case MsgType::kEmcFillReply:
+          case MsgType::kLsqPopulate:
+          case MsgType::kEmcLlcQuery:
+            EMC_OBS_POINT(tracer_, obs::TracePoint::kRingMsg, now,
+                          s.msg.token, obs::Track::ring(is_data_),
+                          s.msg.token);
+            break;
+          default:
+            break;
+        }
+        if (deliver_)
+            deliver_(s.msg);
+        s.busy = false;
+        --dir.busy;
+        stale_ = true;
     }
 }
 
 void
 Ring::inject(Cycle now)
 {
+    if (queued_ == 0)
+        return;
     for (unsigned stop = 0; stop < stops_; ++stop) {
         auto &q = inject_q_[stop];
         while (!q.empty()) {
@@ -98,13 +128,16 @@ Ring::inject(Cycle now)
             const unsigned bwd = (stop + stops_ - m.dst) % stops_;
             Direction &primary = fwd <= bwd ? cw_ : ccw_;
             Direction &secondary = fwd <= bwd ? ccw_ : cw_;
-            if (!primary.slots[stop].busy) {
-                primary.slots[stop].busy = true;
-                primary.slots[stop].msg = m;
-                q.pop_front();
-            } else if (!secondary.slots[stop].busy && fwd == bwd) {
-                secondary.slots[stop].busy = true;
-                secondary.slots[stop].msg = m;
+            Direction *dir = nullptr;
+            if (!primary.slots[stop].busy)
+                dir = &primary;
+            else if (!secondary.slots[stop].busy && fwd == bwd)
+                dir = &secondary;
+            if (dir) {
+                dir->slots[stop].busy = true;
+                dir->slots[stop].msg = m;
+                ++dir->busy;
+                --queued_;
                 q.pop_front();
             } else {
                 ++stats_.inject_stalls;
@@ -117,8 +150,13 @@ Ring::inject(Cycle now)
 void
 Ring::tick(Cycle now)
 {
-    advance(cw_, now);
-    advance(ccw_, now);
+    // An empty ring whose idle slots hold empty messages cannot change.
+    if (!stale_ && pending() == 0)
+        return;
+    const bool clear_idle = stale_;
+    stale_ = false;
+    advance(cw_, now, clear_idle);
+    advance(ccw_, now, clear_idle);
     inject(now);
 }
 

@@ -149,8 +149,15 @@ class Ring
         return std::min(fwd, bwd);
     }
 
-    /** Messages currently in flight or waiting (for tests). */
-    std::size_t pending() const;
+    /** Messages currently in flight or waiting, from the counters. */
+    std::size_t
+    pending() const
+    {
+        return queued_ + cw_.busy + ccw_.busy;
+    }
+
+    /** pending() recounted from the slots and inject queues (checks). */
+    std::size_t recountPending() const;
 
     /**
      * Lifetime send/deliver counters for conservation checks. Unlike
@@ -170,7 +177,11 @@ class Ring
         tracer_ = t;
     }
 
-    /** Checkpoint slot occupancy, inject queues and counters. */
+    /**
+     * Checkpoint slot occupancy, inject queues and counters. The busy
+     * and queued counters are recounted on load, and the next tick
+     * clears idle payloads as if a delivery had just happened.
+     */
     template <class A>
     void
     ser(A &ar)
@@ -181,6 +192,10 @@ class Ring
         ar.io(stats_);
         ar.io(sent_total_);
         ar.io(delivered_total_);
+        if (ar.loading()) {
+            recount();
+            stale_ = true;
+        }
     }
 
   private:
@@ -204,10 +219,13 @@ class Ring
     {
         // slots_[i] is the slot currently at stop i.
         std::vector<Slot> slots;
-        int step;  ///< +1 or -1 stop per cycle
+        int step;           ///< +1 or -1 stop per cycle
+        std::size_t busy = 0;  ///< busy slots (derived, recounted on load)
     };
 
-    void advance(Direction &dir, Cycle now);
+    static std::size_t countBusy(const Direction &dir);
+    void recount();
+    void advance(Direction &dir, Cycle now, bool clear_idle);
     void inject(Cycle now);
 
     unsigned stops_;  // ckpt-skip: (topology is config)
@@ -215,6 +233,13 @@ class Ring
     Direction cw_;   ///< clockwise
     Direction ccw_;  ///< counter-clockwise
     std::vector<std::deque<RingMsg>> inject_q_;  ///< per stop
+    std::size_t queued_ = 0;  // ckpt-skip: (derived: inject_q_ sizes)
+    /**
+     * Some idle slot still holds the message it delivered on the last
+     * advance; the next advance resets idle slots to an empty message.
+     * While false, every idle slot already holds an empty message.
+     */
+    bool stale_ = false;  // ckpt-skip: (derived, set on load)
     Deliver deliver_;
     obs::Tracer *tracer_ = nullptr;
     RingStats stats_;

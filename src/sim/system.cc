@@ -300,6 +300,13 @@ System::enableInvariantChecks()
         c->setCheck(check_.get(), ck_retire_);
     for (auto &e : emcs_)
         e->setCheck(check_.get());
+    for (std::size_t m = 0; m < channels_.size(); ++m) {
+        for (std::size_t c = 0; c < channels_[m].size(); ++c) {
+            channels_[m][c]->setCheck(check_.get(),
+                                      "mc" + std::to_string(m) + ".ch"
+                                          + std::to_string(c));
+        }
+    }
 }
 
 void
@@ -314,6 +321,12 @@ System::runPerTickChecks()
                         data_ring_.sentTotal()
                             - data_ring_.deliveredTotal(),
                         data_ring_.pending(), "messages in flight");
+    ck_conserve_->check(*check_, "control_ring", control_ring_.pending(),
+                        control_ring_.recountPending(),
+                        "counted vs recounted messages");
+    ck_conserve_->check(*check_, "data_ring", data_ring_.pending(),
+                        data_ring_.recountPending(),
+                        "counted vs recounted messages");
     for (std::size_t m = 0; m < channels_.size(); ++m) {
         for (std::size_t c = 0; c < channels_[m].size(); ++c) {
             const DramChannel &ch = *channels_[m][c];

@@ -7,6 +7,7 @@
 #ifndef EMC_VM_TLB_HH
 #define EMC_VM_TLB_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <list>
 #include <unordered_map>
@@ -82,6 +83,10 @@ class Tlb
     bool
     replayHits(const std::vector<Addr> &pages, std::uint64_t accesses)
     {
+        if (mruHolds(pages)) {
+            hits_ += accesses;
+            return true;
+        }
         for (Addr vp : pages) {
             if (map_.find(vp) == map_.end())
                 return false;
@@ -121,6 +126,18 @@ class Tlb
     }
 
   private:
+    /**
+     * True if the LRU stack begins with @p pages in reverse order, the
+     * order replayHits() would leave it in; its splices are then no-ops.
+     */
+    bool
+    mruHolds(const std::vector<Addr> &pages) const
+    {
+        if (pages.size() > lru_.size())
+            return false;
+        return std::equal(pages.rbegin(), pages.rend(), lru_.begin());
+    }
+
     void
     insert(Addr vp)
     {

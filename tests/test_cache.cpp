@@ -156,8 +156,9 @@ TEST(CacheProperty, LruRespectsRecency)
         c.insert(i * stride);
     // Touch all but #3.
     for (Addr i = 0; i < 8; ++i) {
-        if (i != 3)
+        if (i != 3) {
             ASSERT_NE(c.access(i * stride), nullptr);
+        }
     }
     Cache::Victim v = c.insert(8 * stride);
     ASSERT_TRUE(v.valid);

@@ -144,10 +144,12 @@ expectUopEqual(const ChainUop &a, const ChainUop &b, unsigned i)
     EXPECT_EQ(a.epr_src2, b.epr_src2);
     EXPECT_EQ(a.src1_live_in, b.src1_live_in);
     EXPECT_EQ(a.src2_live_in, b.src2_live_in);
-    if (a.src1_live_in)
+    if (a.src1_live_in) {
         EXPECT_EQ(a.src1_val, b.src1_val);
-    if (a.src2_live_in)
+    }
+    if (a.src2_live_in) {
         EXPECT_EQ(a.src2_val, b.src2_val);
+    }
     EXPECT_EQ(a.is_source, b.is_source);
     EXPECT_EQ(a.is_spill_store, b.is_spill_store);
     EXPECT_EQ(a.rob_seq, b.rob_seq);

@@ -7,8 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "ckpt/serial.hh"
 #include "common/rng.hh"
 #include "dram/dram_channel.hh"
 
@@ -334,6 +339,394 @@ TEST_F(DramChannelTest, DataBusNeverOverlaps)
         EXPECT_GE(ends[i] - ends[i - 1], DramTiming{}.tBurst)
             << "bursts overlap on the data bus";
 }
+
+/**
+ * Reference channel: the straightforward scheduler, mapping every
+ * address on every comparison and picking every cycle with no
+ * horizon. DramChannel must issue in exactly its order.
+ */
+class RefChannel
+{
+  public:
+    RefChannel(const DramGeometry &geo, SchedPolicy policy,
+               std::size_t limit, unsigned cores)
+        : geo_(geo), policy_(policy), limit_(limit), cores_(cores),
+          banks_(geo.ranks_per_channel * geo.banks_per_rank),
+          next_refresh_(t_.tREFI), rank_(cores, 0)
+    {}
+
+    bool
+    enqueue(const MemRequest &req, Cycle now)
+    {
+        Queued qe{req, false};
+        qe.req.cycle_mc_enqueue = now;
+        if (!req.is_write && read_q_.size() >= limit_)
+            return false;
+        (req.is_write ? write_q_ : read_q_).push_back(qe);
+        return true;
+    }
+
+    void
+    tick(Cycle now)
+    {
+        if (now >= next_refresh_) {
+            next_refresh_ += t_.tREFI;
+            ++stats.refreshes;
+            for (auto &b : banks_)
+                b.refresh(now, t_);
+        }
+        for (std::size_t i = 0; i < in_flight_.size();) {
+            if (in_flight_[i].cycle_dram_data <= now) {
+                done.push_back(in_flight_[i]);
+                in_flight_[i] = in_flight_.back();
+                in_flight_.pop_back();
+            } else {
+                ++i;
+            }
+        }
+        if (draining_ && write_q_.size() <= 8)
+            draining_ = false;
+        if (!draining_ && write_q_.size() >= 32)
+            draining_ = true;
+        if ((draining_ || read_q_.empty()) && !write_q_.empty()) {
+            const int idx = pickFrFcfs(write_q_, now);
+            if (idx >= 0) {
+                issue(write_q_[idx], now, true);
+                write_q_.erase(write_q_.begin() + idx);
+                return;
+            }
+        }
+        if (read_q_.empty())
+            return;
+        const int idx = policy_ == SchedPolicy::kFrFcfs
+                            ? pickFrFcfs(read_q_, now)
+                            : pickBatch(now);
+        if (idx >= 0) {
+            if (read_q_[idx].marked && marked_ > 0)
+                --marked_;
+            issue(read_q_[idx], now, false);
+            read_q_.erase(read_q_.begin() + idx);
+        }
+    }
+
+    std::size_t readDepth() const { return read_q_.size(); }
+    std::size_t writeDepth() const { return write_q_.size(); }
+    const Bank &bank(unsigned i) const { return banks_[i]; }
+
+    std::vector<MemRequest> done;
+    DramChannelStats stats;
+
+  private:
+    struct Queued
+    {
+        MemRequest req;
+        bool marked;
+    };
+
+    Bank &
+    bankOf(const Queued &qe)
+    {
+        const DramCoord c = mapAddress(qe.req.paddr, geo_);
+        return banks_[c.rank * geo_.banks_per_rank + c.bank];
+    }
+
+    bool
+    rowHit(const Queued &qe)
+    {
+        return bankOf(qe).classify(mapAddress(qe.req.paddr, geo_).row)
+               == RowOutcome::kHit;
+    }
+
+    int
+    pickFrFcfs(std::deque<Queued> &q, Cycle now)
+    {
+        int best = -1;
+        bool best_hit = false;
+        for (std::size_t i = 0; i < q.size(); ++i) {
+            if (bankOf(q[i]).readyCycle() > now)
+                continue;
+            const bool hit = rowHit(q[i]);
+            if (best < 0 || (hit && !best_hit)) {
+                best = static_cast<int>(i);
+                best_hit = hit;
+                if (hit)
+                    break;
+            }
+        }
+        return best;
+    }
+
+    void
+    formBatch()
+    {
+        marked_ = 0;
+        std::vector<std::vector<unsigned>> counts(
+            cores_, std::vector<unsigned>(banks_.size(), 0));
+        for (auto &qe : read_q_) {
+            const DramCoord c = mapAddress(qe.req.paddr, geo_);
+            auto &n = counts[qe.req.core % cores_]
+                            [c.rank * geo_.banks_per_rank + c.bank];
+            qe.marked = n < 5;
+            if (qe.marked) {
+                ++n;
+                ++marked_;
+            }
+        }
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> load(cores_);
+        for (unsigned core = 0; core < cores_; ++core) {
+            for (unsigned n : counts[core]) {
+                load[core].first = std::max<std::uint64_t>(
+                    load[core].first, n);
+                load[core].second += n;
+            }
+        }
+        std::vector<unsigned> order(cores_);
+        for (unsigned i = 0; i < cores_; ++i)
+            order[i] = i;
+        std::stable_sort(order.begin(), order.end(),
+                         [&](unsigned a, unsigned b) {
+                             return load[a] < load[b];
+                         });
+        for (unsigned pos = 0; pos < cores_; ++pos)
+            rank_[order[pos]] = pos;
+    }
+
+    int
+    pickBatch(Cycle now)
+    {
+        if (marked_ == 0)
+            formBatch();
+        auto better = [&](const Queued &a, const Queued &b) {
+            if (a.marked != b.marked)
+                return a.marked;
+            const bool ha = rowHit(a);
+            const bool hb = rowHit(b);
+            if (ha != hb)
+                return ha;
+            const auto ra = rank_[a.req.core % cores_];
+            const auto rb = rank_[b.req.core % cores_];
+            if (ra != rb)
+                return ra < rb;
+            return a.req.cycle_mc_enqueue < b.req.cycle_mc_enqueue;
+        };
+        int best = -1;
+        for (std::size_t i = 0; i < read_q_.size(); ++i) {
+            if (bankOf(read_q_[i]).readyCycle() > now)
+                continue;
+            if (best < 0 || better(read_q_[i], read_q_[best]))
+                best = static_cast<int>(i);
+        }
+        return best;
+    }
+
+    void
+    issue(Queued &qe, Cycle now, bool is_write)
+    {
+        const DramCoord c = mapAddress(qe.req.paddr, geo_);
+        Bank &bank = bankOf(qe);
+        RowOutcome outcome;
+        Cycle data = bank.access(c.row, now, t_, is_write, outcome);
+        data = std::max(data, bus_free_) + t_.tBurst;
+        bus_free_ = data;
+        stats.busy_bus_cycles += t_.tBurst;
+        if (outcome != RowOutcome::kHit) {
+            for (unsigned b = 0; b < geo_.banks_per_rank; ++b) {
+                banks_[c.rank * geo_.banks_per_rank + b]
+                    .blockActivateUntil(bank.lastActivate() + t_.tRRD);
+            }
+        }
+        qe.req.cycle_dram_issue = now;
+        qe.req.cycle_dram_data = data;
+        qe.req.outcome = outcome;
+        switch (outcome) {
+          case RowOutcome::kHit: ++stats.row_hits; break;
+          case RowOutcome::kEmpty: ++stats.row_empty; break;
+          case RowOutcome::kConflict: ++stats.row_conflicts; break;
+        }
+        if (is_write) {
+            ++stats.writes;
+        } else {
+            ++stats.reads;
+            in_flight_.push_back(qe.req);
+        }
+    }
+
+    DramGeometry geo_;
+    DramTiming t_;
+    SchedPolicy policy_;
+    std::size_t limit_;
+    unsigned cores_;
+    std::vector<Bank> banks_;
+    std::deque<Queued> read_q_;
+    std::deque<Queued> write_q_;
+    std::vector<MemRequest> in_flight_;
+    Cycle bus_free_ = 0;
+    Cycle next_refresh_;
+    bool draining_ = false;
+    std::uint64_t marked_ = 0;
+    std::vector<std::uint64_t> rank_;
+};
+
+void
+expectSameCompletions(const std::vector<MemRequest> &got,
+                      const std::vector<MemRequest> &want)
+{
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].token, want[i].token) << "completion " << i;
+        EXPECT_EQ(got[i].cycle_dram_issue, want[i].cycle_dram_issue);
+        EXPECT_EQ(got[i].cycle_dram_data, want[i].cycle_dram_data);
+        EXPECT_EQ(got[i].outcome, want[i].outcome);
+    }
+}
+
+/**
+ * Drives a DramChannel and the reference in lockstep through bursts
+ * and idle gaps of random reads and writes over a few hot rows, so
+ * the run sees row hits, conflicts, queue-full rejections, write
+ * drains and several refreshes.
+ */
+struct PickRace
+{
+    PickRace(const DramGeometry &geo, SchedPolicy policy)
+        : geo(geo), policy(policy),
+          chan(std::make_unique<DramChannel>(geo, DramTiming{}, policy,
+                                             kLimit, kCores)),
+          ref(geo, policy, kLimit, kCores)
+    {
+        attach(*chan);
+    }
+
+    static constexpr std::size_t kLimit = 16;
+    static constexpr unsigned kCores = 4;
+
+    void
+    attach(DramChannel &c)
+    {
+        c.setCallback([this](const MemRequest &r) { got.push_back(r); });
+    }
+
+    /** One cycle: maybe enqueue, tick both, compare. */
+    void
+    step(Rng &rng, Cycle now)
+    {
+        // Alternate busy phases with idle stretches.
+        const bool busy_phase = (now / 3000) % 3 != 2;
+        if (busy_phase && rng.chance(0.15)) {
+            MemRequest r;
+            r.paddr = (rng.below(48) * 8192 * geo.banks_per_rank
+                       * geo.channels
+                       + rng.below(512) * kLineBytes);
+            r.core = static_cast<CoreId>(rng.below(kCores));
+            r.is_write = rng.chance(0.35);
+            r.token = next_token++;
+            ASSERT_EQ(chan->enqueue(r, now), ref.enqueue(r, now));
+        }
+        chan->tick(now);
+        ref.tick(now);
+        ASSERT_EQ(chan->readQueueDepth(), ref.readDepth()) << now;
+        ASSERT_EQ(chan->writeQueueDepth(), ref.writeDepth()) << now;
+        ASSERT_EQ(chan->stats().writes, ref.stats.writes) << now;
+        ASSERT_EQ(chan->stats().reads, ref.stats.reads) << now;
+        ASSERT_EQ(chan->stats().row_hits, ref.stats.row_hits) << now;
+        ASSERT_EQ(chan->stats().row_conflicts, ref.stats.row_conflicts)
+            << now;
+        ASSERT_EQ(chan->stats().refreshes, ref.stats.refreshes) << now;
+        ASSERT_EQ(got.size(), ref.done.size()) << now;
+        for (unsigned rk = 0; rk < geo.ranks_per_channel; ++rk) {
+            for (unsigned b = 0; b < geo.banks_per_rank; ++b) {
+                const Bank &x = chan->bank(rk, b);
+                const Bank &y = ref.bank(rk * geo.banks_per_rank + b);
+                ASSERT_EQ(x.readyCycle(), y.readyCycle()) << now;
+                ASSERT_EQ(x.rowOpen(), y.rowOpen()) << now;
+                ASSERT_EQ(x.openRow(), y.openRow()) << now;
+            }
+        }
+    }
+
+    DramGeometry geo;
+    SchedPolicy policy;
+    std::unique_ptr<DramChannel> chan;
+    RefChannel ref;
+    std::vector<MemRequest> got;
+    std::uint64_t next_token = 1;
+};
+
+DramGeometry
+twoRankGeo()
+{
+    DramGeometry g = quadGeo();
+    g.ranks_per_channel = 2;
+    return g;
+}
+
+class DramPickTest
+    : public ::testing::TestWithParam<std::pair<SchedPolicy, bool>>
+{};
+
+/** Property: the horizon and cached coordinates never change a pick. */
+TEST_P(DramPickTest, MatchesReferenceScan)
+{
+    const auto [policy, two_ranks] = GetParam();
+    PickRace race(two_ranks ? twoRankGeo() : quadGeo(), policy);
+    Rng rng(two_ranks ? 11 : 29);
+    const Cycle end = 3 * DramTiming{}.tREFI + 500;
+    for (Cycle now = 1; now <= end; ++now) {
+        race.step(rng, now);
+        if (HasFatalFailure())
+            return;
+    }
+    EXPECT_GE(race.ref.stats.refreshes, 3u);
+    EXPECT_GT(race.ref.stats.writes, 100u);
+    EXPECT_GT(race.ref.stats.row_hits, 0u);
+    EXPECT_GT(race.ref.stats.row_conflicts, 0u);
+    expectSameCompletions(race.got, race.ref.done);
+}
+
+/**
+ * A channel restored from a mid-queue image (cached coordinates and
+ * horizon re-derived on load) resumes in the reference's issue order.
+ */
+TEST_P(DramPickTest, MidQueueRestoreResumesSameOrder)
+{
+    const auto [policy, two_ranks] = GetParam();
+    PickRace race(two_ranks ? twoRankGeo() : quadGeo(), policy);
+    Rng rng(two_ranks ? 5 : 17);
+    Cycle now = 1;
+    // Run until both queues hold requests, then snapshot and swap.
+    for (; now < 20000; ++now) {
+        race.step(rng, now);
+        if (HasFatalFailure())
+            return;
+        if (now > 2000 && race.chan->readQueueDepth() >= 4
+            && race.chan->writeQueueDepth() >= 2)
+            break;
+    }
+    ASSERT_LT(now, 20000u) << "queues never filled";
+    ckpt::Ar saver = ckpt::Ar::saver();
+    race.chan->ser(saver);
+    auto restored = std::make_unique<DramChannel>(
+        race.geo, DramTiming{}, policy, PickRace::kLimit,
+        PickRace::kCores);
+    ckpt::Ar loader = ckpt::Ar::loader(saver.takeBytes());
+    restored->ser(loader);
+    ASSERT_TRUE(loader.exhausted());
+    race.chan = std::move(restored);
+    race.attach(*race.chan);
+    for (++now; now < 2 * DramTiming{}.tREFI; ++now) {
+        race.step(rng, now);
+        if (HasFatalFailure())
+            return;
+    }
+    expectSameCompletions(race.got, race.ref.done);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Policies, DramPickTest,
+    ::testing::Values(std::make_pair(SchedPolicy::kFrFcfs, false),
+                      std::make_pair(SchedPolicy::kBatch, false),
+                      std::make_pair(SchedPolicy::kFrFcfs, true),
+                      std::make_pair(SchedPolicy::kBatch, true)));
 
 } // namespace
 } // namespace emc

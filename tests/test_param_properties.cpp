@@ -200,12 +200,15 @@ TEST_P(EveryProfile, GeneratorInvariants)
         DynUop d;
         ASSERT_TRUE(prog.next(d));
         // Register indices in range.
-        if (d.uop.hasDst())
+        if (d.uop.hasDst()) {
             ASSERT_LT(d.uop.dst, kArchRegs);
-        if (d.uop.hasSrc1())
+        }
+        if (d.uop.hasSrc1()) {
             ASSERT_LT(d.uop.src1, kArchRegs);
-        if (d.uop.hasSrc2())
+        }
+        if (d.uop.hasSrc2()) {
             ASSERT_LT(d.uop.src2, kArchRegs);
+        }
         // Memory ops are 8-byte aligned and never split lines.
         if (isMem(d.uop.op)) {
             ++mem_ops;

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <deque>
 #include <map>
 #include <vector>
 
+#include "ckpt/serial.hh"
 #include "common/rng.hh"
 #include "ring/ring.hh"
 
@@ -182,6 +185,211 @@ TEST(RingProperty, LatencyLowerBound)
     h.run(h.now + 200);
     for (const auto &[m, cyc] : h.delivered)
         EXPECT_GE(cyc - inject_cycle[m.token], dist[m.token]);
+}
+
+/**
+ * Reference ring: rebuilds each direction's slot vector every advance,
+ * as the straightforward implementation does, and serializes in
+ * Ring::ser's layout. Idle slots come out empty except one that
+ * delivered on the latest advance.
+ */
+class RefRing
+{
+  public:
+    explicit RefRing(unsigned stops)
+        : stops_(stops), cw_(stops), ccw_(stops), q_(stops)
+    {}
+
+    void
+    send(const RingMsg &msg, Cycle now)
+    {
+        RingMsg m = msg;
+        m.injected = now;
+        q_[m.src].push_back(m);
+        ++sent_;
+        ++stats_.control_msgs;
+    }
+
+    void
+    tick(Cycle now)
+    {
+        advance(cw_, 1, now);
+        advance(ccw_, -1, now);
+        for (unsigned stop = 0; stop < stops_; ++stop) {
+            auto &q = q_[stop];
+            while (!q.empty()) {
+                const RingMsg &m = q.front();
+                const unsigned fwd = (m.dst + stops_ - stop) % stops_;
+                const unsigned bwd = (stop + stops_ - m.dst) % stops_;
+                auto &primary = fwd <= bwd ? cw_ : ccw_;
+                auto &secondary = fwd <= bwd ? ccw_ : cw_;
+                Slot *slot = !primary[stop].busy ? &primary[stop]
+                             : !secondary[stop].busy && fwd == bwd
+                                 ? &secondary[stop]
+                                 : nullptr;
+                if (!slot) {
+                    ++stats_.inject_stalls;
+                    break;
+                }
+                slot->busy = true;
+                slot->msg = m;
+                q.pop_front();
+            }
+        }
+    }
+
+    std::vector<std::uint8_t>
+    image()
+    {
+        ckpt::Ar ar = ckpt::Ar::saver();
+        ar.io(cw_);
+        ar.io(ccw_);
+        ar.io(q_);
+        ar.io(stats_);
+        ar.io(sent_);
+        ar.io(delivered_);
+        return ar.takeBytes();
+    }
+
+  private:
+    struct Slot
+    {
+        bool busy = false;
+        RingMsg msg;
+
+        template <class A>
+        void
+        ser(A &ar)
+        {
+            ar.io(busy);
+            ar.io(msg);
+        }
+    };
+
+    void
+    advance(std::vector<Slot> &slots, int step, Cycle now)
+    {
+        std::vector<Slot> next(stops_);
+        for (unsigned i = 0; i < stops_; ++i) {
+            if (slots[i].busy)
+                next[(i + stops_ + step) % stops_] = slots[i];
+        }
+        slots = std::move(next);
+        for (unsigned i = 0; i < stops_; ++i) {
+            if (slots[i].busy && slots[i].msg.dst == i) {
+                stats_.total_latency +=
+                    static_cast<double>(now - slots[i].msg.injected);
+                ++stats_.delivered;
+                ++delivered_;
+                slots[i].busy = false;
+            }
+        }
+    }
+
+    unsigned stops_;
+    std::vector<Slot> cw_;
+    std::vector<Slot> ccw_;
+    std::vector<std::deque<RingMsg>> q_;
+    RingStats stats_;
+    std::uint64_t sent_ = 0;
+    std::uint64_t delivered_ = 0;
+};
+
+std::vector<std::uint8_t>
+imageOf(Ring &ring)
+{
+    ckpt::Ar ar = ckpt::Ar::saver();
+    ring.ser(ar);
+    return ar.takeBytes();
+}
+
+/**
+ * Property: across bursts and idle gaps the ring's image matches the
+ * reference byte for byte after every tick (including the tick right
+ * after a delivery, whose slot still holds the message), and pending()
+ * matches a recount.
+ */
+TEST(RingProperty, ImageMatchesReferenceEveryTick)
+{
+    constexpr unsigned kStops = 7;
+    Harness h(kStops);
+    RefRing ref(kStops);
+    Rng rng(23);
+    std::uint64_t token = 1;
+    std::uint64_t delivered_ticks = 0;
+    for (Cycle c = 1; c < 4000; ++c) {
+        const bool busy_phase = (c / 200) % 2 == 0;
+        if (busy_phase && rng.chance(0.4)) {
+            const unsigned src = static_cast<unsigned>(rng.below(kStops));
+            const unsigned dst =
+                (src + 1 + static_cast<unsigned>(rng.below(kStops - 1)))
+                % kStops;
+            const RingMsg m = h.msg(src, dst, token++);
+            h.ring.send(m, c);
+            ref.send(m, c);
+        }
+        const std::size_t before = h.delivered.size();
+        h.now = c;
+        h.ring.tick(c);
+        ref.tick(c);
+        delivered_ticks += h.delivered.size() != before;
+        ASSERT_EQ(imageOf(h.ring), ref.image()) << "cycle " << c;
+        ASSERT_EQ(h.ring.pending(), h.ring.recountPending());
+        ASSERT_EQ(h.ring.pending(),
+                  h.ring.sentTotal() - h.ring.deliveredTotal());
+    }
+    EXPECT_GT(delivered_ticks, 100u);
+    EXPECT_EQ(h.ring.pending(), 0u);
+}
+
+/** A tick of an empty ring changes neither its image nor its stats. */
+TEST(RingTest, IdleTickChangesNothing)
+{
+    Harness h(5);
+    h.ring.send(h.msg(0, 2, 7), h.now);
+    while (h.delivered.empty())
+        h.ring.tick(h.now++);
+    // The tick right after the delivery clears the delivered slot's
+    // payload; every later idle tick is a no-op.
+    h.ring.tick(h.now++);
+    const std::vector<std::uint8_t> idle = imageOf(h.ring);
+    for (int i = 0; i < 50; ++i)
+        h.ring.tick(h.now++);
+    EXPECT_EQ(imageOf(h.ring), idle);
+    EXPECT_EQ(h.ring.pending(), 0u);
+    EXPECT_EQ(h.ring.recountPending(), 0u);
+    EXPECT_EQ(h.delivered.size(), 1u);
+}
+
+/**
+ * Restoring an image taken right after a delivery recounts the
+ * counters and still clears the stale payload on the next tick.
+ */
+TEST(RingTest, RestoreRightAfterDeliveryMatchesUninterrupted)
+{
+    Harness a(6);
+    a.ring.send(a.msg(1, 4, 3), a.now);
+    a.ring.send(a.msg(2, 0, 4), a.now);
+    a.ring.send(a.msg(5, 3, 5), a.now);
+    while (a.delivered.empty())
+        a.ring.tick(a.now++);
+    const std::size_t before = a.delivered.size();
+    std::vector<std::uint8_t> bytes = imageOf(a.ring);
+    Harness b(6);
+    ckpt::Ar loader = ckpt::Ar::loader(bytes);
+    b.ring.ser(loader);
+    ASSERT_TRUE(loader.exhausted());
+    EXPECT_EQ(b.ring.pending(), a.ring.pending());
+    EXPECT_EQ(b.ring.pending(), b.ring.recountPending());
+    b.now = a.now;
+    for (int i = 0; i < 20; ++i) {
+        a.ring.tick(a.now++);
+        b.ring.tick(b.now++);
+        ASSERT_EQ(imageOf(a.ring), imageOf(b.ring)) << "tick " << i;
+    }
+    EXPECT_EQ(b.ring.pending(), 0u);
+    EXPECT_EQ(a.delivered.size(), 3u);
+    EXPECT_EQ(b.delivered.size(), 3u - before);
 }
 
 } // namespace

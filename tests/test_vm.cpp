@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <list>
 #include <set>
+#include <vector>
 
 #include "vm/page_table.hh"
 #include "vm/tlb.hh"
@@ -162,6 +164,69 @@ TEST(EmcTlbTest, FlushClearsAll)
     tlb.flush();
     for (Addr v = 0; v < 4; ++v)
         EXPECT_FALSE(tlb.resident(v));
+}
+
+/**
+ * replayHits(pages, n) must leave the TLB exactly as n hitting
+ * translate() calls whose last-occurrence page order is @p pages. The
+ * reference makes those calls: each page once in order, then the
+ * remaining hits on the last page (which is then already MRU).
+ */
+void
+expectReplayMatchesTranslate(const std::vector<Addr> &warm,
+                             const std::vector<Addr> &pages,
+                             std::uint64_t accesses)
+{
+    PageTable pt(0, 1);
+    Tlb fast(8, 30);
+    Tlb ref(8, 30);
+    Cycle extra = 0;
+    for (Addr vp : warm) {
+        fast.translate(pt, vp << kPageShift, extra);
+        ref.translate(pt, vp << kPageShift, extra);
+    }
+    ASSERT_TRUE(fast.replayHits(pages, accesses));
+    for (Addr vp : pages) {
+        ref.translate(pt, vp << kPageShift, extra);
+        ASSERT_EQ(extra, 0u) << "reference call missed";
+    }
+    for (std::uint64_t i = pages.size(); i < accesses; ++i)
+        ref.translate(pt, pages.back() << kPageShift, extra);
+    EXPECT_EQ(fast.residentPages(), ref.residentPages());
+    EXPECT_EQ(fast.hits(), ref.hits());
+    EXPECT_EQ(fast.misses(), ref.misses());
+}
+
+TEST(TlbReplayTest, PagesAlreadyAtMruInOrder)
+{
+    // LRU stack after warming is 4 3 2 1: pages {2, 3, 4} replayed in
+    // that order leave it unchanged (the early-return path).
+    expectReplayMatchesTranslate({1, 2, 3, 4}, {2, 3, 4}, 7);
+    expectReplayMatchesTranslate({1, 2, 3, 4}, {3, 4}, 4);
+    expectReplayMatchesTranslate({1, 2, 3, 4}, {4}, 3);
+}
+
+TEST(TlbReplayTest, PagesOutOfOrder)
+{
+    // Same pages, but not in MRU order: the stack must reorder.
+    expectReplayMatchesTranslate({1, 2, 3, 4}, {4, 3, 2}, 5);
+    expectReplayMatchesTranslate({1, 2, 3, 4}, {1, 2}, 2);
+    expectReplayMatchesTranslate({1, 2, 3, 4}, {1, 4}, 2);
+}
+
+TEST(TlbReplayTest, NonResidentPageChangesNothing)
+{
+    PageTable pt(0, 1);
+    Tlb tlb(8, 30);
+    Cycle extra = 0;
+    for (Addr vp : {1, 2, 3})
+        tlb.translate(pt, vp << kPageShift, extra);
+    const std::list<Addr> before = tlb.residentPages();
+    const std::uint64_t hits = tlb.hits();
+    EXPECT_FALSE(tlb.replayHits({2, 3, 9}, 3));
+    EXPECT_FALSE(tlb.replayHits({9}, 1));
+    EXPECT_EQ(tlb.residentPages(), before);
+    EXPECT_EQ(tlb.hits(), hits);
 }
 
 } // namespace
