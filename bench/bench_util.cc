@@ -7,12 +7,10 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <thread>
 
 #include "ckpt/store.hh"
-#include "common/thread_pool.hh"
 #include "sweep/sweep.hh"
 #include "workload/profile.hh"
 
@@ -22,20 +20,21 @@ namespace emc::bench
 namespace
 {
 
+/** Next unreserved "<EMC_TRACE>.runK.json" number, process-wide. */
+std::atomic<unsigned> next_trace_run{0};
+
 /**
  * Apply the EMC_TRACE / EMC_TRACE_INTERVAL env overrides (DESIGN.md
- * §6) to one run's config. Bench binaries launch many Systems — some
- * concurrently via runMany() — so each traced run gets a distinct
- * "<EMC_TRACE>.runK.json" path from a process-wide counter.
+ * §6) to one run's config, naming its trace "<EMC_TRACE>.run@p k.json".
+ * Callers reserve @p k from next_trace_run when they submit the run,
+ * so a sweep's trace names follow job order, not thread timing.
  */
 void
-applyTraceEnv(SystemConfig &cfg)
+applyTraceEnv(SystemConfig &cfg, unsigned k)
 {
-    static std::atomic<unsigned> next_run{0};
     const char *prefix = std::getenv("EMC_TRACE");
     if (!prefix || !*prefix || !cfg.trace_path.empty())
         return;
-    const unsigned k = next_run.fetch_add(1);
     cfg.trace_path =
         std::string(prefix) + ".run" + std::to_string(k) + ".json";
     if (const char *iv = std::getenv("EMC_TRACE_INTERVAL"))
@@ -98,38 +97,14 @@ envOr(const char *name)
     return (v && *v) ? v : nullptr;
 }
 
-/**
- * Sharded-run trace naming: job-indexed instead of the process-wide
- * counter, because forked workers each inherit a copy of that counter
- * and would collide on "<prefix>.run0.json".
- */
-void
-applyShardedTraceEnv(SystemConfig &cfg, std::size_t index)
+/** Build, run and dump one System. */
+StatDump
+simulate(const SystemConfig &cfg,
+         const std::vector<std::string> &benchmarks)
 {
-    const char *prefix = envOr("EMC_TRACE");
-    if (!prefix || !cfg.trace_path.empty())
-        return;
-    cfg.trace_path =
-        std::string(prefix) + ".job" + std::to_string(index) + ".json";
-    if (const char *iv = std::getenv("EMC_TRACE_INTERVAL"))
-        cfg.trace_interval = std::strtoull(iv, nullptr, 10);
-}
-
-/**
- * Attach best-effort interval streaming onto the worker's message
- * pipe (EMC_SWEEP_STREAM_INTERVAL cycles; off unless set). The lines
- * ride the coordinator protocol as "interval" records.
- */
-void
-maybeAttachStream(System &sys, std::size_t index, std::FILE *msg)
-{
-    const char *iv = msg ? envOr("EMC_SWEEP_STREAM_INTERVAL") : nullptr;
-    if (!iv)
-        return;
-    char prefix[64];
-    std::snprintf(prefix, sizeof prefix,
-                  "\"type\":\"interval\",\"job\":%zu,", index);
-    sys.enableStatStream(msg, std::strtoull(iv, nullptr, 10), prefix);
+    System sys(cfg, benchmarks);
+    sys.run();
+    return sys.dump();
 }
 
 /**
@@ -140,28 +115,22 @@ maybeAttachStream(System &sys, std::size_t index, std::FILE *msg)
  * Autosaves go to flat "<EMC_CKPT_DIR>/jobN.ckpt" files, or — when
  * EMC_CKPT_STORE is set instead — into a content-addressed
  * ckpt::Store, where config-point images of one sweep deduplicate
- * against each other. @p msg is the sharded worker's message pipe
- * (null for in-process runs).
+ * against each other. @p trace_run is the job's reserved trace number.
  */
 StatDump
-runJob(const RunJob &job, std::size_t index, std::FILE *msg = nullptr)
+runJob(const RunJob &job, std::size_t index, unsigned trace_run)
 {
+    SystemConfig cfg = job.cfg;
+    applyTraceEnv(cfg, trace_run);
     const char *dir = envOr("EMC_CKPT_DIR");
     const char *store_dir = envOr("EMC_CKPT_STORE");
-    if (!dir && !store_dir && !msg)
-        return run(job.cfg, job.benchmarks);
-
-    SystemConfig cfg = job.cfg;
-    if (msg)
-        applyShardedTraceEnv(cfg, index);
-    else
-        applyTraceEnv(cfg);
+    if (!dir && !store_dir)
+        return simulate(cfg, job.benchmarks);
 
     const std::string jobname = "job" + std::to_string(index);
-    const std::string base = dir ? dir : (store_dir ? store_dir : "");
+    const std::string base = dir ? dir : store_dir;
     StatDump cached;
-    if (!base.empty()
-        && loadStatsFile(base + "/" + jobname + ".stats", cached))
+    if (loadStatsFile(base + "/" + jobname + ".stats", cached))
         return cached;
 
     Cycle interval = 1000000;
@@ -169,30 +138,24 @@ runJob(const RunJob &job, std::size_t index, std::FILE *msg = nullptr)
         interval = std::strtoull(iv, nullptr, 10);
 
     System sys(cfg, job.benchmarks);
-    std::shared_ptr<ckpt::Store> store;
     if (store_dir) {
-        store = std::make_shared<ckpt::Store>(store_dir);
+        auto store = std::make_shared<ckpt::Store>(store_dir);
         if (store->has(jobname))
             sys.restoreCheckpointBytes(store->get(jobname));
-    } else if (dir) {
-        const std::string ckpt = base + "/" + jobname + ".ckpt";
-        if (fileExists(ckpt))
-            sys.restoreCheckpoint(ckpt);
-    }
-    maybeAttachStream(sys, index, msg);
-    if (store) {
         sys.setAutosave(
             [store, jobname](std::vector<std::uint8_t> &&img) {
                 store->put(jobname, img);
             },
             interval);
-    } else if (dir) {
-        sys.setAutosave(base + "/" + jobname + ".ckpt", interval);
+    } else {
+        const std::string ckpt = base + "/" + jobname + ".ckpt";
+        if (fileExists(ckpt))
+            sys.restoreCheckpoint(ckpt);
+        sys.setAutosave(ckpt, interval);
     }
     sys.run();
     StatDump d = sys.dump();
-    if (!base.empty())
-        writeStatsFile(base + "/" + jobname + ".stats", d);
+    writeStatsFile(base + "/" + jobname + ".stats", d);
     return d;
 }
 
@@ -205,7 +168,7 @@ runJob(const RunJob &job, std::size_t index, std::FILE *msg = nullptr)
  */
 StatDump
 runSampledJob(const RunJob &job, const SampleParams &p,
-              std::size_t index, std::FILE *msg = nullptr)
+              std::size_t index)
 {
     std::string sidecar;
     if (const char *dir = envOr("EMC_CKPT_DIR")) {
@@ -216,7 +179,6 @@ runSampledJob(const RunJob &job, const SampleParams &p,
             return cached;
     }
     System sys(job.cfg, job.benchmarks);
-    maybeAttachStream(sys, index, msg);
     sys.runSampled(p);
     StatDump d = sys.dump();
     if (!sidecar.empty())
@@ -224,12 +186,38 @@ runSampledJob(const RunJob &job, const SampleParams &p,
     return d;
 }
 
-/** Coordinator-side merged interval stream (EMC_SWEEP_STREAM=path). */
-std::FILE *
-openStreamSink()
+/**
+ * runMany()'s jobs on the runner. The block of trace numbers is
+ * reserved up front, so job i always traces to run (first + i).
+ */
+sweep::Report
+runManyReport(const std::vector<RunJob> &jobs)
 {
-    const char *path = envOr("EMC_SWEEP_STREAM");
-    return path ? std::fopen(path, "a") : nullptr;
+    const unsigned first_run = next_trace_run.fetch_add(
+        static_cast<unsigned>(jobs.size()));
+    return sweep::run(jobs.size(), benchThreads(), [&](std::size_t i) {
+        return runJob(jobs[i], i, first_run + static_cast<unsigned>(i));
+    });
+}
+
+/**
+ * The results of @p rep, or — if any job failed — print every failure
+ * to stderr and throw one error naming the first.
+ */
+std::vector<StatDump>
+resultsOrThrow(const char *who, sweep::Report &&rep)
+{
+    if (rep.failures.empty())
+        return std::move(rep.results);
+    for (const RunFailure &f : rep.failures)
+        std::fprintf(stderr, "%s: job %zu failed: %s\n", who, f.job,
+                     f.what.c_str());
+    const RunFailure &first = rep.failures.front();
+    throw std::runtime_error(
+        std::string(who) + ": " + std::to_string(rep.failures.size())
+        + " of " + std::to_string(rep.results.size())
+        + " jobs failed (job " + std::to_string(first.job) + ": "
+        + first.what + ")");
 }
 
 } // namespace
@@ -267,10 +255,8 @@ StatDump
 run(const SystemConfig &cfg, const std::vector<std::string> &benchmarks)
 {
     SystemConfig traced_cfg = cfg;
-    applyTraceEnv(traced_cfg);
-    System sys(traced_cfg, benchmarks);
-    sys.run();
-    return sys.dump();
+    applyTraceEnv(traced_cfg, next_trace_run.fetch_add(1));
+    return simulate(traced_cfg, benchmarks);
 }
 
 unsigned
@@ -278,173 +264,41 @@ benchThreads()
 {
     // An explicit EMC_BENCH_THREADS always wins. Otherwise fall back
     // to inline (single-thread) execution on machines with <= 2
-    // hardware threads — pool overhead and memory pressure outweigh
-    // any overlap there, and a 1-thread ThreadPool runs jobs inline.
-    if (std::getenv("EMC_BENCH_THREADS") != nullptr)
-        return ThreadPool::defaultThreads();
-    if (std::thread::hardware_concurrency() <= 2)
-        return 1;
-    return ThreadPool::defaultThreads();
-}
-
-unsigned
-benchProcs()
-{
-    const char *e = envOr("EMC_BENCH_PROCS");
-    if (!e)
-        return 0;
-    return static_cast<unsigned>(std::strtoul(e, nullptr, 10));
-}
-
-std::vector<StatDump>
-runManySharded(const std::vector<RunJob> &jobs, unsigned procs,
-               std::vector<RunFailure> *failures)
-{
-    sweep::ShardOptions opt;
-    opt.abort_on_fail = false;
-    opt.forward_intervals = openStreamSink();
-
-    sweep::ShardReport rep;
-    try {
-        rep = sweep::runShardedReport(
-            jobs.size(), procs,
-            [&jobs](std::size_t i, std::FILE *msg) {
-                return runJob(jobs[i], i, msg);
-            },
-            opt);
-    } catch (...) {
-        if (opt.forward_intervals)
-            std::fclose(opt.forward_intervals);
-        throw;
+    // hardware threads: thread overhead and memory pressure outweigh
+    // any overlap there.
+    if (const char *env = std::getenv("EMC_BENCH_THREADS")) {
+        const long v = std::atol(env);
+        if (v > 0)
+            return static_cast<unsigned>(v);
     }
-    if (opt.forward_intervals)
-        std::fclose(opt.forward_intervals);
-
-    std::vector<RunFailure> failed;
-    for (const sweep::JobFailure &f : rep.failures)
-        failed.push_back({f.job, f.what});
-    if (failures) {
-        *failures = std::move(failed);
-    } else if (!failed.empty()) {
-        for (const RunFailure &f : failed) {
-            std::fprintf(stderr, "runManySharded: job %zu failed: %s\n",
-                         f.index, f.what.c_str());
-        }
-        throw std::runtime_error(
-            "runManySharded: " + std::to_string(failed.size()) + " of "
-            + std::to_string(jobs.size()) + " jobs failed (job "
-            + std::to_string(failed.front().index) + ": "
-            + failed.front().what + ")");
-    }
-    return std::move(rep.results);
+    const unsigned hw = std::thread::hardware_concurrency();
+    return hw <= 2 ? 1 : hw;
 }
 
 std::vector<StatDump>
 runMany(const std::vector<RunJob> &jobs,
         std::vector<RunFailure> *failures)
 {
-    if (const unsigned procs = benchProcs())
-        return runManySharded(jobs, procs, failures);
-
-    std::vector<StatDump> results(jobs.size());
-    std::vector<RunFailure> failed;
-    std::mutex mu;
-    ThreadPool pool(benchThreads());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const RunJob &job = jobs[i];
-        pool.submit([&, i] {
-            try {
-                results[i] = runJob(job, i);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, e.what()});
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, "unknown exception"});
-            }
-        });
-    }
-    pool.waitAll();
-    std::sort(failed.begin(), failed.end(),
-              [](const RunFailure &a, const RunFailure &b) {
-                  return a.index < b.index;
-              });
+    sweep::Report rep = runManyReport(jobs);
     if (failures)
-        *failures = std::move(failed);
-    return results;
+        *failures = std::move(rep.failures);
+    return std::move(rep.results);
 }
 
 std::vector<StatDump>
 runMany(const std::vector<RunJob> &jobs)
 {
-    std::vector<RunFailure> failures;
-    std::vector<StatDump> results = runMany(jobs, &failures);
-    if (!failures.empty()) {
-        for (const RunFailure &f : failures) {
-            std::fprintf(stderr, "runMany: job %zu failed: %s\n",
-                         f.index, f.what.c_str());
-        }
-        throw std::runtime_error(
-            "runMany: " + std::to_string(failures.size()) + " of "
-            + std::to_string(jobs.size()) + " jobs failed (job "
-            + std::to_string(failures.front().index) + ": "
-            + failures.front().what + ")");
-    }
-    return results;
+    return resultsOrThrow("runMany", runManyReport(jobs));
 }
 
 std::vector<StatDump>
 runManySampled(const std::vector<RunJob> &jobs, const SampleParams &p)
 {
-    if (const unsigned procs = benchProcs()) {
-        sweep::ShardOptions opt;
-        opt.forward_intervals = openStreamSink();
-        std::vector<StatDump> results;
-        try {
-            results = sweep::runSharded(
-                jobs.size(), procs,
-                [&jobs, &p](std::size_t i, std::FILE *msg) {
-                    return runSampledJob(jobs[i], p, i, msg);
-                },
-                opt);
-        } catch (...) {
-            if (opt.forward_intervals)
-                std::fclose(opt.forward_intervals);
-            throw;
-        }
-        if (opt.forward_intervals)
-            std::fclose(opt.forward_intervals);
-        return results;
-    }
-
-    std::vector<StatDump> results(jobs.size());
-    std::vector<RunFailure> failed;
-    std::mutex mu;
-    ThreadPool pool(benchThreads());
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const RunJob &job = jobs[i];
-        pool.submit([&, i] {
-            try {
-                results[i] = runSampledJob(job, p, i);
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, e.what()});
-            }
-        });
-    }
-    pool.waitAll();
-    if (!failed.empty()) {
-        std::sort(failed.begin(), failed.end(),
-                  [](const RunFailure &a, const RunFailure &b) {
-                      return a.index < b.index;
-                  });
-        throw std::runtime_error(
-            "runManySampled: " + std::to_string(failed.size()) + " of "
-            + std::to_string(jobs.size()) + " jobs failed (job "
-            + std::to_string(failed.front().index) + ": "
-            + failed.front().what + ")");
-    }
-    return results;
+    return resultsOrThrow(
+        "runManySampled",
+        sweep::run(jobs.size(), benchThreads(), [&](std::size_t i) {
+            return runSampledJob(jobs[i], p, i);
+        }));
 }
 
 std::vector<StatDump>
@@ -454,75 +308,16 @@ runManyWarmShared(const SystemConfig &warm_cfg,
 {
     const std::vector<std::uint8_t> warm =
         System(warm_cfg, benchmarks).warmupCheckpointBytes();
-
-    if (const unsigned procs = benchProcs()) {
-        // The warm image is materialized *before* the fork, so every
-        // worker shares its pages copy-on-write — N processes, one
-        // warmup RSS.
-        sweep::ShardOptions opt;
-        opt.forward_intervals = openStreamSink();
-        std::vector<StatDump> results;
-        try {
-            results = sweep::runSharded(
-                cfgs.size(), procs,
-                [&](std::size_t i, std::FILE *msg) {
-                    SystemConfig cfg = cfgs[i];
-                    cfg.warmup_uops = 0;
-                    System sys(cfg, benchmarks);
-                    sys.restoreCheckpointBytes(warm);
-                    maybeAttachStream(sys, i, msg);
-                    sys.run();
-                    return sys.dump();
-                },
-                opt);
-        } catch (...) {
-            if (opt.forward_intervals)
-                std::fclose(opt.forward_intervals);
-            throw;
-        }
-        if (opt.forward_intervals)
-            std::fclose(opt.forward_intervals);
-        return results;
-    }
-
-    std::vector<StatDump> results(cfgs.size());
-    std::vector<RunFailure> failed;
-    std::mutex mu;
-    ThreadPool pool(benchThreads());
-    for (std::size_t i = 0; i < cfgs.size(); ++i) {
-        pool.submit([&, i] {
-            try {
-                SystemConfig cfg = cfgs[i];
-                cfg.warmup_uops = 0;
-                System sys(cfg, benchmarks);
-                sys.restoreCheckpointBytes(warm);
-                sys.run();
-                results[i] = sys.dump();
-            } catch (const std::exception &e) {
-                std::lock_guard<std::mutex> lock(mu);
-                failed.push_back({i, e.what()});
-            }
-        });
-    }
-    pool.waitAll();
-    if (!failed.empty()) {
-        std::sort(failed.begin(), failed.end(),
-                  [](const RunFailure &a, const RunFailure &b) {
-                      return a.index < b.index;
-                  });
-        for (const RunFailure &f : failed) {
-            std::fprintf(stderr,
-                         "runManyWarmShared: config %zu failed: %s\n",
-                         f.index, f.what.c_str());
-        }
-        throw std::runtime_error(
-            "runManyWarmShared: " + std::to_string(failed.size())
-            + " of " + std::to_string(cfgs.size())
-            + " configs failed (config "
-            + std::to_string(failed.front().index) + ": "
-            + failed.front().what + ")");
-    }
-    return results;
+    return resultsOrThrow(
+        "runManyWarmShared",
+        sweep::run(cfgs.size(), benchThreads(), [&](std::size_t i) {
+            SystemConfig cfg = cfgs[i];
+            cfg.warmup_uops = 0;
+            System sys(cfg, benchmarks);
+            sys.restoreCheckpointBytes(warm);
+            sys.run();
+            return sys.dump();
+        }));
 }
 
 double

@@ -8,9 +8,11 @@
  * (e.g. EMC_SIM_UOPS=120000 for tighter statistics).
  *
  * Observability (DESIGN.md §6): set EMC_TRACE=prefix to write a Chrome
- * trace "<prefix>.runK.json" per simulation the bench launches (K is a
- * process-wide counter, so parallel runMany() jobs never collide), and
+ * trace "<prefix>.runK.json" per simulation the bench launches, and
  * EMC_TRACE_INTERVAL=N to also stream interval stats alongside each.
+ * K counts runs in submission order, process-wide: runMany() reserves
+ * one number per job when it is called, so job i of a call whose block
+ * starts at K traces to "<prefix>.run(K+i).json" at any thread count.
  */
 
 #ifndef EMC_BENCH_BENCH_UTIL_HH
@@ -20,6 +22,7 @@
 #include <vector>
 
 #include "sim/system.hh"
+#include "sweep/sweep.hh"
 
 namespace emc::bench
 {
@@ -46,46 +49,35 @@ struct RunJob
 };
 
 /** One failed runMany() job: which job and what its exception said. */
-struct RunFailure
-{
-    std::size_t index;
-    std::string what;
-};
+using RunFailure = sweep::JobFailure;
 
 /**
- * Worker threads runMany() fans across: EMC_BENCH_THREADS if set,
- * else the hardware concurrency — except on small machines
+ * Worker threads the runMany() family fans across: EMC_BENCH_THREADS
+ * if set, else the hardware concurrency — except on small machines
  * (hardware_concurrency() <= 2), where jobs run inline on one thread:
- * the thread-pool overhead outweighs any overlap there, and inline
- * failures carry full backtraces.
+ * thread overhead outweighs any overlap there.
  */
 unsigned benchThreads();
 
 /**
- * Worker *processes* for sharded sweeps: the value of EMC_BENCH_PROCS
- * (0 when unset/empty). 0 keeps the in-process thread-pool path; any
- * other value routes runMany()/runManySampled()/runManyWarmShared()
- * through the src/sweep coordinator (DESIGN.md §9).
- */
-unsigned benchProcs();
-
-/**
  * Run every job to completion, fanning independent System instances
- * across benchThreads() hardware threads — or, when EMC_BENCH_PROCS
- * is set, across that many forked worker processes (DESIGN.md §9).
- * Results come back indexed by job — result[i] belongs to jobs[i] no
- * matter which worker ran it or in what order jobs finished, so
- * output is deterministic and byte-identical at any worker count.
+ * across benchThreads() threads on the sweep::run() job runner
+ * (DESIGN.md §9). Results come back indexed by job — result[i]
+ * belongs to jobs[i] no matter which thread ran it or in what order
+ * jobs finished, so output is deterministic and byte-identical at any
+ * thread count. If a job throws, every failure is printed to stderr
+ * and one std::runtime_error naming the first is thrown after all
+ * jobs finish; runManySampled() and runManyWarmShared() fail the same
+ * way.
  */
 std::vector<StatDump> runMany(const std::vector<RunJob> &jobs);
 
 /**
  * Like runMany(), but a job that throws does not take the bench down:
- * its failure (job index + exception message) is appended to
- * @p failures, the remaining jobs still run to completion, and the
- * failed job's slot comes back as a default-constructed StatDump.
- * The overload without @p failures prints each failure to stderr and
- * throws after all jobs finish.
+ * its failure (job index + exception message) is stored in
+ * @p failures (sorted by job), the remaining jobs still run to
+ * completion, and the failed job's slot comes back as a
+ * default-constructed StatDump.
  *
  * Crash-resumable sweeps (DESIGN.md §7): when EMC_CKPT_DIR is set,
  * each job autosaves a full checkpoint to "<dir>/jobN.ckpt" every
@@ -94,26 +86,12 @@ std::vector<StatDump> runMany(const std::vector<RunJob> &jobs);
  * finished jobs load their .stats file without simulating, interrupted
  * jobs restore their .ckpt and continue. EMC_CKPT_STORE=<dir> is the
  * content-addressed variant: autosaves deduplicate into a ckpt::Store
- * instead of flat per-job files (DESIGN.md §9). Checkpointing is
- * incompatible with EMC_TRACE on the same run (restore refuses
- * attached tracers).
+ * instead of flat per-job files (DESIGN.md §9). Both overloads resume
+ * this way. Checkpointing is incompatible with EMC_TRACE on the same
+ * run (restore refuses attached tracers).
  */
 std::vector<StatDump> runMany(const std::vector<RunJob> &jobs,
                               std::vector<RunFailure> *failures);
-
-/**
- * The EMC_BENCH_PROCS execution engine, callable directly: shard
- * @p jobs across @p procs forked worker processes with dynamic
- * self-scheduling, per-job crash-resume (EMC_CKPT_DIR /
- * EMC_CKPT_STORE, as above) and automatic re-queue of jobs whose
- * worker dies. With EMC_SWEEP_STREAM_INTERVAL=N set, workers stream
- * interval stats over their message pipes, and EMC_SWEEP_STREAM=path
- * appends the merged JSONL to @p path. Failure semantics follow the
- * two runMany() overloads (@p failures null => throw).
- */
-std::vector<StatDump>
-runManySharded(const std::vector<RunJob> &jobs, unsigned procs,
-               std::vector<RunFailure> *failures = nullptr);
 
 /**
  * Warm-once-fork-many sweep (DESIGN.md §7): run the warmup phase under
@@ -142,7 +120,7 @@ runManyWarmShared(const SystemConfig &warm_cfg,
  * at job granularity: a finished job's "<dir>/jobN.sampled.stats"
  * sidecar is reloaded instead of re-simulating, while an interrupted
  * job restarts from scratch (the fastwarm phase has no mid-run
- * checkpoint). EMC_BENCH_PROCS shards jobs across processes.
+ * checkpoint).
  */
 std::vector<StatDump> runManySampled(const std::vector<RunJob> &jobs,
                                      const SampleParams &p);

@@ -1,18 +1,12 @@
 /**
  * @file
- * Sharded-sweep + checkpoint-store microbench (BENCH_sweep.json).
+ * Content-addressed checkpoint-store microbench (BENCH_sweep.json).
  *
- * Part 1 measures what the multi-process engine costs and proves what
- * it preserves: the same config sweep runs on the in-process thread
- * pool, then sharded across 1 worker process (isolating pure
- * coordinator overhead: fork + pipe framing + JSONL parse), then
- * across 2 workers. All three must produce bit-identical stats.
- *
- * Part 2 measures the content-addressed store on its target workload:
- * K config points forked from one warm image, each saving a full
- * checkpoint shortly after the fork (the crash-resume autosave
- * pattern). Storing K near-identical ~100 MB images must cost far
- * less than K full files — the ISSUE target is a >=10x reduction.
+ * Measures the store on its target workload: K config points forked
+ * from one warm image, each saving a full checkpoint shortly after
+ * the fork (the crash-resume autosave pattern of a sweep). Storing K
+ * near-identical ~100 MB images must cost far less than K full files
+ * — the target is a >=10x reduction.
  *
  * Usage: micro_sweep [--smoke] [output.json]
  *   --smoke   tiny run lengths (CI sanity run)
@@ -22,11 +16,9 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench/bench_util.hh"
@@ -44,28 +36,6 @@ seconds(std::chrono::steady_clock::time_point a,
         std::chrono::steady_clock::time_point b)
 {
     return std::chrono::duration<double>(b - a).count();
-}
-
-/** Exact (bitwise) stat-dump equality; prints the first mismatch. */
-bool
-sameStats(const StatDump &a, const StatDump &b, const char *what)
-{
-    if (a.all().size() != b.all().size()) {
-        std::printf("ERROR: %s: %zu vs %zu stats\n", what,
-                    a.all().size(), b.all().size());
-        return false;
-    }
-    auto ia = a.all().begin();
-    auto ib = b.all().begin();
-    for (; ia != a.all().end(); ++ia, ++ib) {
-        if (ia->first != ib->first || ia->second != ib->second) {
-            std::printf("ERROR: %s: %s=%.17g vs %s=%.17g\n", what,
-                        ia->first.c_str(), ia->second,
-                        ib->first.c_str(), ib->second);
-            return false;
-        }
-    }
-    return true;
 }
 
 } // namespace
@@ -87,69 +57,6 @@ main(int argc, char **argv)
     const std::uint64_t uops = smoke ? 2000 : 20000;
     const std::vector<std::string> mix = homo("mcf");
 
-    // ---- Part 1: sharded vs threaded engine -----------------------
-    SystemConfig base;
-    base.target_uops = uops;
-    base.warmup_uops = uops / 2;
-
-    std::vector<RunJob> jobs;
-    for (bool emc_on : {false, true}) {
-        for (PrefetchConfig pf :
-             {PrefetchConfig::kNone, PrefetchConfig::kGhb}) {
-            SystemConfig c = base;
-            c.emc_enabled = emc_on;
-            c.prefetch = pf;
-            jobs.push_back({c, mix});
-        }
-    }
-
-    std::printf("sweep engines (%zu config points, 4x mcf, %llu "
-                "uops/core)\n",
-                jobs.size(), static_cast<unsigned long long>(uops));
-    // One compute thread in every mode so the comparison isolates the
-    // engine, not the scheduler.
-    setenv("EMC_BENCH_THREADS", "1", 1);
-
-    unsetenv("EMC_BENCH_PROCS");
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<StatDump> threaded = runMany(jobs);
-    const auto t1 = std::chrono::steady_clock::now();
-
-    setenv("EMC_BENCH_PROCS", "1", 1);
-    const auto p0 = std::chrono::steady_clock::now();
-    const std::vector<StatDump> sharded1 = runMany(jobs);
-    const auto p1 = std::chrono::steady_clock::now();
-
-    setenv("EMC_BENCH_PROCS", "2", 1);
-    const auto q0 = std::chrono::steady_clock::now();
-    const std::vector<StatDump> sharded2 = runMany(jobs);
-    const auto q1 = std::chrono::steady_clock::now();
-    unsetenv("EMC_BENCH_PROCS");
-    unsetenv("EMC_BENCH_THREADS");
-
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const std::string what = "job " + std::to_string(i);
-        if (!sameStats(threaded[i], sharded1[i],
-                       (what + ", threads vs 1 proc").c_str())
-            || !sameStats(threaded[i], sharded2[i],
-                          (what + ", threads vs 2 procs").c_str())) {
-            return 1;
-        }
-    }
-
-    const double threaded_s = seconds(t0, t1);
-    const double sharded1_s = seconds(p0, p1);
-    const double sharded2_s = seconds(q0, q1);
-    const unsigned hw = std::thread::hardware_concurrency();
-    std::printf("  threads:  %7.2fs (in-process pool)\n", threaded_s);
-    std::printf("  1 proc:   %7.2fs (coordinator overhead %+.2fs)\n",
-                sharded1_s, sharded1_s - threaded_s);
-    std::printf("  2 procs:  %7.2fs (%u hardware threads on this "
-                "host)\n",
-                sharded2_s, hw);
-    std::printf("  stats bit-identical across all three engines\n");
-
-    // ---- Part 2: content-addressed store on forked images ---------
     SystemConfig warm_cfg;
     warm_cfg.target_uops = uops;
     warm_cfg.warmup_uops = uops / 2;
@@ -237,18 +144,6 @@ main(int argc, char **argv)
     std::fprintf(f, "  \"mode\": \"%s\",\n", smoke ? "smoke" : "full");
     std::fprintf(f, "  \"uops_per_core\": %llu,\n",
                  static_cast<unsigned long long>(uops));
-    std::fprintf(f, "  \"engines\": {\n");
-    std::fprintf(f, "    \"config_points\": %zu,\n", jobs.size());
-    std::fprintf(f, "    \"host_hw_threads\": %u,\n", hw);
-    std::fprintf(f, "    \"threaded_seconds\": %.3f,\n", threaded_s);
-    std::fprintf(f, "    \"sharded_1proc_seconds\": %.3f,\n",
-                 sharded1_s);
-    std::fprintf(f, "    \"sharded_2proc_seconds\": %.3f,\n",
-                 sharded2_s);
-    std::fprintf(f, "    \"coordinator_overhead_seconds\": %.3f,\n",
-                 sharded1_s - threaded_s);
-    std::fprintf(f, "    \"stats_identical\": true\n");
-    std::fprintf(f, "  },\n");
     std::fprintf(f, "  \"delta_store\": {\n");
     std::fprintf(f, "    \"config_points\": %zu,\n", points.size());
     std::fprintf(f, "    \"divergence_cycles\": %d,\n", divergence);

@@ -152,7 +152,12 @@ class Ar
                 for (unsigned i = 0; i < 8; ++i)
                     b[i] = static_cast<std::uint8_t>(v >> (8 * i));
             }
-            buf_.insert(buf_.end(), b, b + 8);
+            // resize + memcpy, not insert(): GCC 12 misreads the
+            // inlined range insert into a fresh buffer as an overflow
+            // (-Wstringop-overflow).
+            const std::size_t at = buf_.size();
+            buf_.resize(at + 8);
+            std::memcpy(buf_.data() + at, b, 8);
             pos_ += 8;
             return;
         }

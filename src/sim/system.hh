@@ -214,19 +214,6 @@ class System : public CorePort
     /** The attached tracer (null when tracing is disabled). */
     obs::Tracer *tracer() { return tracer_.get(); }
 
-    /**
-     * Stream interval stat snapshots onto an already-open @p out that
-     * this System does NOT own (the sweep worker pipe, DESIGN.md §9):
-     * one JSONL object every @p interval cycles, each line opening
-     * with the verbatim @p prefix (e.g. `"type":"interval","job":3,`).
-     * Unlike a file-backed streamer this does not make the run
-     * checkpoint-refusing: the stream is best-effort observational, so
-     * a crash-resumed run may re-emit interval lines consumers must
-     * tolerate. @p interval 0 detaches.
-     */
-    void enableStatStream(std::FILE *out, Cycle interval,
-                          const std::string &prefix);
-
     /** Always-on phase-latency histograms (exported as `phase.*`). */
     const obs::PhaseAccumulator &phases() const { return phases_; }
 

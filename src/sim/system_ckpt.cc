@@ -206,10 +206,7 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
 void
 System::ckptRefuseIfObserved(const char *what) const
 {
-    // A streamer on a borrowed FILE (the sweep worker pipe) is exempt:
-    // that stream is declared best-effort, so resumed runs may repeat
-    // interval lines instead of blocking checkpoints.
-    if (tracer_ || (streamer_ && streamer_->ownsFile())) {
+    if (tracer_ || streamer_) {
         throw ckpt::Error(
             std::string(what)
             + " refused: a tracer or stat streamer is attached and "

@@ -1,51 +1,22 @@
 /**
  * @file
- * Multi-process sharded sweep coordinator (DESIGN.md §9).
+ * Threaded job runner for sweeps of independent simulations
+ * (DESIGN.md §9).
  *
- * runSharded() fans a set of index-identified jobs out over forked
- * worker processes. Workers are forked, not exec'd: every job closure
- * (configs, workloads, a shared warm checkpoint image) stays in
- * memory and is copy-on-write shared with each worker, so a sweep
- * that warms once pays the warmup RSS once no matter how many
- * processes run it.
- *
- * Protocol (one coordinator, N workers, two pipes per worker):
- *  - coordinator -> worker: one ASCII job index per line; the single
- *    letter "q" asks the worker to exit cleanly.
- *  - worker -> coordinator: JSONL, one self-contained object per
- *    line, distinguished by "type":
- *      {"type":"done","job":J,"stats":{...}}   final stats, %.17g
- *                                              (bit-exact doubles)
- *      {"type":"fail","job":J,"what":"..."}    job threw; message is
- *                                              JSON-escaped
- *      {"type":"interval","job":J,"cycle":C,"stats":{...}}
- *                                              optional mid-run
- *                                              snapshots at %.9g,
- *                                              written by an
- *                                              obs::StatStreamer
- *                                              riding the same pipe
- *
- * Scheduling is dynamic self-scheduling: each idle worker receives
- * the next unclaimed job, so long jobs do not convoy short ones.
- * Results are collected by job index, which makes the output
- * byte-identical to a single-process run at any worker count — order
- * of completion never leaks into order of results.
- *
- * Fault handling: a worker that dies mid-job (EOF on its message
- * pipe) is reaped and respawned, and the orphaned job is re-queued,
- * up to `max_attempts` tries per job. Jobs must therefore be
- * idempotent-or-resumable; the bench runner's EMC_CKPT_DIR sidecar
- * protocol provides exactly that. A job that *reports* failure (threw
- * an exception) aborts the sweep, matching the in-process thread-pool
- * semantics.
+ * run() executes fn(i) for every job index i in [0, n) on a fixed set
+ * of worker threads, each pulling the next unclaimed index from one
+ * shared atomic counter, so long jobs do not convoy short ones.
+ * Results are stored by job index, which makes a sweep's output
+ * byte-identical at any worker count: order of completion never leaks
+ * into order of results. Every exception a job throws, std:: or not,
+ * is caught and reported as a JobFailure; the other jobs still run.
  */
 
 #ifndef EMC_SWEEP_SWEEP_HH
 #define EMC_SWEEP_SWEEP_HH
 
-#include <cstdio>
+#include <cstddef>
 #include <functional>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -54,92 +25,30 @@
 namespace emc::sweep
 {
 
-/** Coordinator/worker protocol or process-management failure. */
-class Error : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * One job: run shard @p job and return its final stats. @p msg is the
- * worker's message pipe — a job may attach interval streaming to it
- * (System::enableStatStream with an `"type":"interval","job":J,`
- * prefix) but must not write non-JSONL bytes to it.
- */
-using JobFn = std::function<StatDump(std::size_t job, std::FILE *msg)>;
-
-struct ShardOptions
-{
-    /** Max tries per job before the sweep fails (>= 1). */
-    unsigned max_attempts = 3;
-
-    /**
-     * When set, every "interval" line workers emit is forwarded here
-     * verbatim (the coordinator's merged JSONL stream). "done"/"fail"
-     * lines are consumed by the coordinator, not forwarded.
-     */
-    std::FILE *forward_intervals = nullptr;
-
-    /**
-     * true (default): the first "fail" message aborts the sweep with
-     * a sweep::Error, matching runMany()'s throwing overload. false:
-     * failures are collected in ShardReport::failures, the failed
-     * job's result slot stays default-constructed, and the sweep runs
-     * on — the failure-collecting runMany() semantics.
-     */
-    bool abort_on_fail = true;
-};
-
-/** One job that reported an exception (abort_on_fail == false). */
+/** One job that threw: its index and the exception's message. */
 struct JobFailure
 {
     std::size_t job;
     std::string what;
 };
 
-/** What a sharded run did, beyond its results. */
-struct ShardReport
+/** What run() did. */
+struct Report
 {
-    std::vector<StatDump> results;   ///< indexed by job
-    std::vector<JobFailure> failures;///< job-index-sorted reported fails
-    unsigned workers_spawned = 0;    ///< initial + respawned
-    unsigned worker_deaths = 0;      ///< EOFs with a job outstanding
-    unsigned jobs_requeued = 0;      ///< jobs rescheduled after death
-    std::uint64_t interval_lines = 0;///< interval lines seen
+    std::vector<StatDump> results;    ///< indexed by job; empty if failed
+    std::vector<JobFailure> failures; ///< sorted by job index
 };
 
-/**
- * Run jobs [0, num_jobs) across @p procs forked workers (clamped to
- * [1, num_jobs]) and return per-job results plus fault accounting.
- * Throws sweep::Error when a job fails (after retries for worker
- * deaths, immediately for reported exceptions). Must be called from a
- * process with no live sim threads (bench thread pools are per-call,
- * so any bench call site qualifies).
- */
-ShardReport runShardedReport(std::size_t num_jobs, unsigned procs,
-                             const JobFn &fn,
-                             const ShardOptions &opt = {});
-
-/** runShardedReport() reduced to its results. */
-std::vector<StatDump> runSharded(std::size_t num_jobs, unsigned procs,
-                                 const JobFn &fn,
-                                 const ShardOptions &opt = {});
+/** One job: simulate job @p job and return its final stats. */
+using JobFn = std::function<StatDump(std::size_t job)>;
 
 /**
- * Worker side of the protocol: serve job indices from @p job_fd,
- * writing results to @p msg_fd, until "q" or EOF. Exposed for the
- * coordinator's forked children and for tests; normal callers use
- * runSharded(). Returns the number of jobs served.
+ * Run jobs [0, @p n) on @p workers threads (clamped to [1, n]), the
+ * calling thread being one of them. With one worker the jobs run
+ * inline, in index order. @p fn must be safe to call concurrently for
+ * distinct jobs.
  */
-std::size_t runWorkerLoop(int job_fd, int msg_fd, const JobFn &fn);
-
-/**
- * Parse the flat {"name":value,...} object at @p s into @p out.
- * Returns false on malformed input. Exposed for tests and for
- * emcsweep's JSONL consumers.
- */
-bool parseStatsObject(const char *s, StatDump &out);
+Report run(std::size_t n, unsigned workers, const JobFn &fn);
 
 } // namespace emc::sweep
 

@@ -340,7 +340,11 @@ quadWorkloads()
 std::string
 quadWorkloadName(std::size_t i)
 {
-    return "H" + std::to_string(i + 1);
+    // Appended, not "H" + std::to_string(): GCC 12 warns
+    // (-Wrestrict) on the inlined insert-at-front.
+    std::string name = "H";
+    name += std::to_string(i + 1);
+    return name;
 }
 
 } // namespace emc

@@ -496,7 +496,7 @@ TEST(BenchHarness, RunManyIsolatesPerJobFailures)
         emc::bench::runMany(jobs, &failures);
     ASSERT_EQ(res.size(), 3u);
     ASSERT_EQ(failures.size(), 1u);
-    EXPECT_EQ(failures[0].index, 1u);
+    EXPECT_EQ(failures[0].job, 1u);
     EXPECT_FALSE(failures[0].what.empty());
     EXPECT_GT(res[0].get("system.cycles"), 0.0);
     EXPECT_GT(res[2].get("system.cycles"), 0.0);

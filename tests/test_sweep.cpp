@@ -1,24 +1,26 @@
 /**
  * @file
- * Multi-process sharded sweep tests (DESIGN.md §9):
+ * Job runner tests (DESIGN.md §9):
  *
- *  - job-indexed results independent of worker count and completion
- *    order, with %.17g stats surviving the pipe bit-exactly
- *  - failure semantics: abort-on-fail and collect-failures modes
- *  - worker death mid-job: the coordinator reaps, respawns and
- *    re-queues, and — composed with the EMC_CKPT_DIR autosave
- *    protocol — the killed job resumes from its checkpoint and the
- *    final stats match both an uninterrupted sharded run and the
- *    single-process runMany() path
- *  - protocol plumbing: parseStatsObject, interval-line forwarding
+ *  - job-indexed results at any worker count, even when jobs finish
+ *    out of order
+ *  - every exception a job throws, std:: or not, is collected against
+ *    its job while the other jobs run to completion
+ *  - the bench entry points fail with one message format
+ *  - EMC_TRACE names follow submission order, not thread timing
+ *  - runManySampled()'s EMC_CKPT_DIR sidecar resume
  */
 
-#include <cmath>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <unistd.h>
@@ -30,13 +32,7 @@
 #include "sweep/sweep.hh"
 
 using emc::StatDump;
-using emc::System;
-using emc::SystemConfig;
 using emc::bench::RunJob;
-using emc::sweep::runSharded;
-using emc::sweep::runShardedReport;
-using emc::sweep::ShardOptions;
-using emc::sweep::ShardReport;
 
 namespace
 {
@@ -57,10 +53,13 @@ fileExists(const std::string &path)
     return std::ifstream(path).good();
 }
 
-void
-touch(const std::string &path)
+std::string
+slurp(const std::string &path)
 {
-    std::ofstream(path) << "x\n";
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
 }
 
 /** Cheap dual-core sim jobs for the end-to-end tests. */
@@ -98,245 +97,190 @@ expectSameStats(const std::vector<StatDump> &a,
     }
 }
 
+/** A thrown type that does not derive from std::exception. */
+struct NotStd
+{
+    int code;
+};
+
 } // namespace
 
 TEST(Sweep, ResultsAreJobIndexedAtAnyWorkerCount)
 {
-    const auto fn = [](std::size_t job, std::FILE *) {
+    // Early jobs sleep longest, so with several workers the jobs
+    // finish in roughly reverse order of their indices.
+    constexpr std::size_t kJobs = 9;
+    const auto fn = [](std::size_t job) {
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(2 * (kJobs - job)));
         StatDump d;
         d.put("job", static_cast<double>(job));
         d.put("val", 1.0 / (1.0 + static_cast<double>(job)));
         return d;
     };
-    for (unsigned procs : {1u, 2u, 5u, 16u}) {
-        const std::vector<StatDump> r = runSharded(9, procs, fn);
-        ASSERT_EQ(r.size(), 9u) << "procs=" << procs;
-        for (std::size_t j = 0; j < r.size(); ++j) {
-            EXPECT_EQ(r[j].get("job"), static_cast<double>(j));
-            EXPECT_EQ(r[j].get("val"),
+    for (unsigned workers : {1u, 2u, 5u, 16u}) {
+        const emc::sweep::Report rep = emc::sweep::run(kJobs, workers, fn);
+        EXPECT_TRUE(rep.failures.empty()) << "workers=" << workers;
+        ASSERT_EQ(rep.results.size(), kJobs) << "workers=" << workers;
+        for (std::size_t j = 0; j < kJobs; ++j) {
+            EXPECT_EQ(rep.results[j].get("job"), static_cast<double>(j));
+            EXPECT_EQ(rep.results[j].get("val"),
                       1.0 / (1.0 + static_cast<double>(j)));
         }
     }
-}
-
-TEST(Sweep, DoublesSurviveThePipeBitExactly)
-{
-    const double uglies[] = {1.0 / 3.0, 1e-308, 123456789.123456789,
-                             std::nextafter(1.0, 2.0), 0.1 + 0.2};
-    const auto fn = [&](std::size_t job, std::FILE *) {
-        StatDump d;
-        for (std::size_t k = 0; k < std::size(uglies); ++k)
-            d.put("u" + std::to_string(k), uglies[k]);
-        d.put("scaled", uglies[job % std::size(uglies)] * job);
-        return d;
-    };
-    const std::vector<StatDump> r = runSharded(4, 2, fn);
-    for (std::size_t j = 0; j < r.size(); ++j) {
-        for (std::size_t k = 0; k < std::size(uglies); ++k) {
-            EXPECT_EQ(r[j].get("u" + std::to_string(k)), uglies[k])
-                << "job " << j << " stat u" << k;
-        }
-        EXPECT_EQ(r[j].get("scaled"),
-                  uglies[j % std::size(uglies)] * j);
-    }
-}
-
-TEST(Sweep, ParseStatsObject)
-{
-    StatDump d;
-    EXPECT_TRUE(emc::sweep::parseStatsObject("{}", d));
-    EXPECT_TRUE(d.all().empty());
-    EXPECT_TRUE(emc::sweep::parseStatsObject(
-        "{\"a.b\":1.5,\"c\":-2e-3}", d));
-    EXPECT_EQ(d.get("a.b"), 1.5);
-    EXPECT_EQ(d.get("c"), -2e-3);
-    StatDump bad;
-    EXPECT_FALSE(emc::sweep::parseStatsObject("nope", bad));
-    EXPECT_FALSE(emc::sweep::parseStatsObject("{\"x\":}", bad));
-    EXPECT_FALSE(emc::sweep::parseStatsObject("{\"x\":1", bad));
-}
-
-TEST(Sweep, ReportedFailureAbortsByDefault)
-{
-    const auto fn = [](std::size_t job, std::FILE *) {
-        if (job == 2)
-            throw std::runtime_error("synthetic \"quoted\" boom");
-        StatDump d;
-        d.put("ok", 1);
-        return d;
-    };
-    try {
-        runSharded(5, 2, fn);
-        FAIL() << "expected sweep::Error";
-    } catch (const emc::sweep::Error &e) {
-        EXPECT_NE(std::string(e.what()).find("job 2"),
-                  std::string::npos);
-        EXPECT_NE(std::string(e.what()).find("\"quoted\""),
-                  std::string::npos)
-            << "escaped message must round-trip";
-    }
+    EXPECT_TRUE(emc::sweep::run(0, 4, fn).results.empty());
 }
 
 TEST(Sweep, CollectedFailuresLeaveOtherJobsIntact)
 {
-    const auto fn = [](std::size_t job, std::FILE *) {
+    const auto fn = [](std::size_t job) {
         if (job == 1 || job == 3)
             throw std::runtime_error("boom " + std::to_string(job));
+        if (job == 4)
+            throw NotStd{4};
         StatDump d;
         d.put("job", static_cast<double>(job));
         return d;
     };
-    ShardOptions opt;
-    opt.abort_on_fail = false;
-    const ShardReport rep = runShardedReport(5, 3, fn, opt);
-    ASSERT_EQ(rep.failures.size(), 2u);
-    EXPECT_EQ(rep.failures[0].job, 1u);
-    EXPECT_EQ(rep.failures[1].job, 3u);
-    EXPECT_NE(rep.failures[1].what.find("boom 3"), std::string::npos);
-    for (std::size_t j : {0u, 2u, 4u})
-        EXPECT_EQ(rep.results[j].get("job"), static_cast<double>(j));
-    EXPECT_TRUE(rep.results[1].all().empty());
-}
-
-TEST(Sweep, WorkerDeathReschedulesOntoFreshWorker)
-{
-    const std::string dir = tmpDir("death");
-    const std::string marker = dir + "/died";
-    const auto fn = [&](std::size_t job, std::FILE *) {
-        if (job == 4 && !fileExists(marker)) {
-            touch(marker);
-            ::_exit(3); // die without a word: coordinator sees EOF
-        }
-        StatDump d;
-        d.put("job", static_cast<double>(job));
-        return d;
-    };
-    const ShardReport rep = runShardedReport(6, 2, fn);
-    EXPECT_EQ(rep.worker_deaths, 1u);
-    EXPECT_EQ(rep.jobs_requeued, 1u);
-    EXPECT_GT(rep.workers_spawned, 2u);
-    for (std::size_t j = 0; j < 6; ++j)
-        EXPECT_EQ(rep.results[j].get("job"), static_cast<double>(j));
-}
-
-TEST(Sweep, RepeatedWorkerDeathExhaustsAttempts)
-{
-    const auto fn = [](std::size_t job, std::FILE *) -> StatDump {
-        if (job == 0)
-            ::_exit(3);
-        StatDump d;
-        d.put("job", static_cast<double>(job));
-        return d;
-    };
-    ShardOptions opt;
-    opt.max_attempts = 2;
-    EXPECT_THROW(runShardedReport(2, 1, fn, opt), emc::sweep::Error);
-}
-
-TEST(Sweep, IntervalLinesAreForwardedVerbatim)
-{
-    const std::string dir = tmpDir("stream");
-    const std::string path = dir + "/merged.jsonl";
-    std::FILE *sink = std::fopen(path.c_str(), "w");
-    ASSERT_NE(sink, nullptr);
-    ShardOptions opt;
-    opt.forward_intervals = sink;
-    const auto fn = [](std::size_t job, std::FILE *msg) {
-        std::fprintf(msg,
-                     "{\"type\":\"interval\",\"job\":%zu,\"cycle\":10,"
-                     "\"stats\":{\"x\":%zu}}\n",
-                     job, job);
-        std::fflush(msg);
-        StatDump d;
-        d.put("job", static_cast<double>(job));
-        return d;
-    };
-    const ShardReport rep = runShardedReport(3, 2, fn, opt);
-    std::fclose(sink);
-    EXPECT_EQ(rep.interval_lines, 3u);
-    std::ifstream in(path);
-    std::string line;
-    std::size_t lines = 0;
-    while (std::getline(in, line)) {
-        EXPECT_NE(line.find("\"type\":\"interval\""),
-                  std::string::npos);
-        ++lines;
+    for (unsigned workers : {1u, 3u}) {
+        const emc::sweep::Report rep = emc::sweep::run(6, workers, fn);
+        ASSERT_EQ(rep.failures.size(), 3u) << "workers=" << workers;
+        EXPECT_EQ(rep.failures[0].job, 1u);
+        EXPECT_EQ(rep.failures[1].job, 3u);
+        EXPECT_EQ(rep.failures[2].job, 4u);
+        EXPECT_EQ(rep.failures[1].what, "boom 3");
+        EXPECT_EQ(rep.failures[2].what, "unknown exception");
+        for (std::size_t j : {0u, 2u, 5u})
+            EXPECT_EQ(rep.results[j].get("job"), static_cast<double>(j));
+        EXPECT_TRUE(rep.results[1].all().empty());
+        EXPECT_TRUE(rep.results[4].all().empty());
     }
-    EXPECT_EQ(lines, 3u);
 }
 
-// The satellite end-to-end: a worker is killed mid-simulation after
-// autosaving, the coordinator reschedules, the retry restores from
-// the autosave, and the final stats are bit-identical to both an
-// uninterrupted sharded run and single-process runMany().
-TEST(Sweep, KilledSimJobResumesAndMatchesAllPaths)
+TEST(Sweep, BenchEntryPointsThrowNamingTheFirstFailedJob)
 {
+    // Jobs 1 and 2 cannot write their EMC_CKPT_DIR stats sidecars (a
+    // directory sits where the temp file goes), so they throw after
+    // simulating; job 0 still completes.
     const std::vector<RunJob> jobs = smallJobs();
+    const std::string dir = tmpDir("fail");
+    for (const char *blocked :
+         {"job1.stats.tmp", "job2.stats.tmp", "job1.sampled.stats.tmp",
+          "job2.sampled.stats.tmp"})
+        std::filesystem::create_directories(dir + "/" + blocked);
+    setenv("EMC_CKPT_DIR", dir.c_str(), 1);
+    setenv("EMC_BENCH_THREADS", "2", 1);
 
-    // Reference 1: single-process, in-thread runMany().
-    const std::vector<StatDump> base = emc::bench::runMany(jobs);
+    std::vector<emc::bench::RunFailure> failures;
+    const std::vector<StatDump> res =
+        emc::bench::runMany(jobs, &failures);
+    ASSERT_EQ(failures.size(), 2u);
+    EXPECT_EQ(failures[0].job, 1u);
+    EXPECT_EQ(failures[1].job, 2u);
+    EXPECT_GT(res[0].get("system.cycles"), 0.0);
 
-    // Reference 2: uninterrupted sharded run.
-    setenv("EMC_BENCH_PROCS", "2", 1);
-    const std::vector<StatDump> sharded = emc::bench::runMany(jobs);
-    unsetenv("EMC_BENCH_PROCS");
-    expectSameStats(base, sharded, "uninterrupted sharded");
-
-    // Interrupted run: job 1's first worker simulates half-way, saves
-    // a full checkpoint (the autosave protocol's file name), then
-    // dies. The resume protocol in the retry must finish it.
-    const std::string dir = tmpDir("ckpt");
-    const std::string marker = dir + "/died";
-
-    const auto fn = [&](std::size_t i, std::FILE *) {
-        const std::string stem = dir + "/job" + std::to_string(i);
-        if (i == 1 && !fileExists(marker)) {
-            touch(marker);
-            System sys(jobs[i].cfg, jobs[i].benchmarks);
-            for (int t = 0; t < 3000; ++t)
-                sys.tickOnce();
-            sys.saveCheckpoint(stem + ".ckpt",
-                               emc::ckpt::Level::kFull);
-            ::_exit(3);
+    const auto expectNamesJob1 = [](const auto &call, const char *who) {
+        try {
+            call();
+            ADD_FAILURE() << who << " did not throw";
+        } catch (const std::runtime_error &e) {
+            const std::string want =
+                std::string(who) + ": 2 of 3 jobs failed (job 1: cannot";
+            EXPECT_EQ(std::string(e.what()).rfind(want, 0), 0u)
+                << e.what();
         }
-        // The regular resume protocol (mirrors bench runJob).
-        System sys(jobs[i].cfg, jobs[i].benchmarks);
-        if (fileExists(stem + ".ckpt"))
-            sys.restoreCheckpoint(stem + ".ckpt");
-        sys.run();
-        return sys.dump();
     };
-    const ShardReport rep = runShardedReport(jobs.size(), 2, fn);
-    EXPECT_EQ(rep.worker_deaths, 1u);
-    EXPECT_EQ(rep.jobs_requeued, 1u);
-    ASSERT_TRUE(fileExists(dir + "/job1.ckpt"))
-        << "the dying worker must have left its autosave behind";
-    expectSameStats(base, rep.results, "killed-and-resumed sharded");
+    expectNamesJob1([&] { emc::bench::runMany(jobs); }, "runMany");
+    emc::SampleParams p;
+    p.period = 1000;
+    p.detail = 250;
+    expectNamesJob1([&] { emc::bench::runManySampled(jobs, p); },
+                    "runManySampled");
+    unsetenv("EMC_BENCH_THREADS");
+    unsetenv("EMC_CKPT_DIR");
+    std::filesystem::remove_all(dir);
 }
 
-// EMC_BENCH_PROCS applied to the real bench entry points must be
-// byte-identical to the thread-pool path (the CI sweep job checks the
-// same property over a whole bench binary's stdout).
-TEST(Sweep, BenchEntryPointsMatchAcrossEngines)
+TEST(Sweep, TraceNamesFollowSubmissionOrder)
 {
-    const std::vector<RunJob> jobs = smallJobs();
-    const std::vector<StatDump> base = emc::bench::runMany(jobs);
+    // Jobs that tell themselves apart in their trace's metadata: one
+    // or two cores, EMC on or off, each kind twice. Two runMany()
+    // calls on two threads submit them in opposite orders at the same
+    // time, so their jobs start interleaved.
+    std::vector<RunJob> forward;
+    for (unsigned cores : {1u, 2u, 1u, 2u}) {
+        for (bool emc_on : {false, true}) {
+            RunJob j;
+            j.cfg.num_cores = cores;
+            j.cfg.emc_enabled = emc_on;
+            j.cfg.target_uops = 300;
+            j.cfg.warmup_uops = 0;
+            j.benchmarks.assign(cores, "mcf");
+            forward.push_back(std::move(j));
+        }
+    }
+    const std::vector<RunJob> backward(forward.rbegin(), forward.rend());
+    const auto label = [](const RunJob &j) {
+        return std::string(j.cfg.num_cores == 2 ? "2c" : "1c")
+               + (j.cfg.emc_enabled ? "+emc" : "");
+    };
 
-    setenv("EMC_BENCH_PROCS", "3", 1);
-    const std::vector<StatDump> p3 = emc::bench::runMany(jobs);
-    const std::vector<StatDump> direct =
-        emc::bench::runManySharded(jobs, 2);
-    unsetenv("EMC_BENCH_PROCS");
+    const std::string dir = tmpDir("trace");
+    const std::string prefix = dir + "/t";
+    setenv("EMC_TRACE", prefix.c_str(), 1);
+    setenv("EMC_BENCH_THREADS", "4", 1);
+    std::thread other([&] { emc::bench::runMany(backward); });
+    emc::bench::runMany(forward);
+    other.join();
+    unsetenv("EMC_BENCH_THREADS");
+    unsetenv("EMC_TRACE");
 
-    expectSameStats(base, p3, "procs=3");
-    expectSameStats(base, direct, "runManySharded(2)");
+    // Run numbers are process-wide, so this test's 16 traces start
+    // wherever earlier runs left the counter. Label each by content.
+    std::map<unsigned, std::string> traces;
+    for (const auto &e : std::filesystem::directory_iterator(dir)) {
+        const std::string name = e.path().filename().string();
+        unsigned k = 0;
+        char tail[8] = {};
+        if (std::sscanf(name.c_str(), "t.run%u.%7s", &k, tail) != 2
+            || std::string(tail) != "json")
+            continue;
+        const std::string body = slurp(e.path().string());
+        traces[k] =
+            std::string(body.find("\"name\":\"core1\"") != std::string::npos
+                            ? "2c"
+                            : "1c")
+            + (body.find("\"name\":\"emc0\"") != std::string::npos ? "+emc"
+                                                                    : "");
+    }
+    ASSERT_EQ(traces.size(), 2 * forward.size());
+    std::vector<std::string> got;
+    for (const auto &[k, what] : traces) {
+        EXPECT_EQ(k, traces.begin()->first + got.size())
+            << "run numbers must be consecutive";
+        got.push_back(what);
+    }
+
+    // Each call reserved one block of numbers, in job order.
+    std::vector<std::string> fwd, bwd;
+    for (const RunJob &j : forward)
+        fwd.push_back(label(j));
+    for (const RunJob &j : backward)
+        bwd.push_back(label(j));
+    const auto mid = got.begin() + static_cast<long>(forward.size());
+    const std::vector<std::string> first_block(got.begin(), mid);
+    const std::vector<std::string> second_block(mid, got.end());
+    EXPECT_TRUE((first_block == fwd && second_block == bwd)
+                || (first_block == bwd && second_block == fwd))
+        << "traces by run number: " << ::testing::PrintToString(got);
+    std::filesystem::remove_all(dir);
 }
 
 TEST(Sweep, SampledSidecarResume)
 {
-    // Satellite: runManySampled() honors EMC_CKPT_DIR at job
-    // granularity — second invocation reloads sidecars bit-exactly
-    // without re-simulating.
+    // runManySampled() honors EMC_CKPT_DIR at job granularity: the
+    // second invocation reloads sidecars bit-exactly without
+    // re-simulating.
     std::vector<RunJob> jobs = smallJobs();
     jobs.resize(2);
     for (RunJob &j : jobs) {
