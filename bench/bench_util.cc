@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 
@@ -44,10 +45,13 @@ applyTraceEnv(SystemConfig &cfg, unsigned k)
 /**
  * Stats sidecar files for crash-resumable sweeps: "name value" rows,
  * %.17g so a reloaded dump is bit-identical to the original doubles.
+ * An empty path (resume off) loads and writes nothing.
  */
 bool
 loadStatsFile(const std::string &path, StatDump &out)
 {
+    if (path.empty())
+        return false;
     std::ifstream in(path);
     if (!in)
         return false;
@@ -68,6 +72,8 @@ loadStatsFile(const std::string &path, StatDump &out)
 void
 writeStatsFile(const std::string &path, const StatDump &d)
 {
+    if (path.empty())
+        return;
     const std::string tmp = path + ".tmp";
     {
         std::ofstream out(tmp);
@@ -97,6 +103,24 @@ envOr(const char *name)
     return (v && *v) ? v : nullptr;
 }
 
+/**
+ * Job @p index's resume file "<dir>/job<index><suffix>", where dir is
+ * EMC_CKPT_DIR (or EMC_CKPT_STORE when only that is set); empty when
+ * neither is set and the sweep is not resumable. Every entry point
+ * keeps a finished job's stats sidecar here, and a rerun reloads it
+ * instead of simulating.
+ */
+std::string
+resumeFile(std::size_t index, const char *suffix)
+{
+    const char *dir = envOr("EMC_CKPT_DIR");
+    if (!dir)
+        dir = envOr("EMC_CKPT_STORE");
+    if (!dir)
+        return {};
+    return std::string(dir) + "/job" + std::to_string(index) + suffix;
+}
+
 /** Build, run and dump one System. */
 StatDump
 simulate(const SystemConfig &cfg,
@@ -122,23 +146,20 @@ runJob(const RunJob &job, std::size_t index, unsigned trace_run)
 {
     SystemConfig cfg = job.cfg;
     applyTraceEnv(cfg, trace_run);
-    const char *dir = envOr("EMC_CKPT_DIR");
-    const char *store_dir = envOr("EMC_CKPT_STORE");
-    if (!dir && !store_dir)
+    const std::string sidecar = resumeFile(index, ".stats");
+    if (sidecar.empty())
         return simulate(cfg, job.benchmarks);
-
-    const std::string jobname = "job" + std::to_string(index);
-    const std::string base = dir ? dir : store_dir;
     StatDump cached;
-    if (loadStatsFile(base + "/" + jobname + ".stats", cached))
+    if (loadStatsFile(sidecar, cached))
         return cached;
 
     Cycle interval = 1000000;
     if (const char *iv = std::getenv("EMC_CKPT_INTERVAL"))
         interval = std::strtoull(iv, nullptr, 10);
 
+    const std::string jobname = "job" + std::to_string(index);
     System sys(cfg, job.benchmarks);
-    if (store_dir) {
+    if (const char *store_dir = envOr("EMC_CKPT_STORE")) {
         auto store = std::make_shared<ckpt::Store>(store_dir);
         if (store->has(jobname))
             sys.restoreCheckpointBytes(store->get(jobname));
@@ -148,20 +169,20 @@ runJob(const RunJob &job, std::size_t index, unsigned trace_run)
             },
             interval);
     } else {
-        const std::string ckpt = base + "/" + jobname + ".ckpt";
+        const std::string ckpt = resumeFile(index, ".ckpt");
         if (fileExists(ckpt))
             sys.restoreCheckpoint(ckpt);
         sys.setAutosave(ckpt, interval);
     }
     sys.run();
     StatDump d = sys.dump();
-    writeStatsFile(base + "/" + jobname + ".stats", d);
+    writeStatsFile(sidecar, d);
     return d;
 }
 
 /**
  * One runManySampled() job with sidecar-granular resume: a finished
- * job's "<EMC_CKPT_DIR>/jobN.sampled.stats" is reloaded instead of
+ * job's "jobN.sampled.stats" sidecar is reloaded instead of
  * re-simulating; an *interrupted* sampled job restarts from scratch
  * (the fastwarm phase has no mid-run checkpoint), so resume here is
  * job-granular, not cycle-granular.
@@ -170,19 +191,14 @@ StatDump
 runSampledJob(const RunJob &job, const SampleParams &p,
               std::size_t index)
 {
-    std::string sidecar;
-    if (const char *dir = envOr("EMC_CKPT_DIR")) {
-        sidecar = std::string(dir) + "/job" + std::to_string(index)
-                  + ".sampled.stats";
-        StatDump cached;
-        if (loadStatsFile(sidecar, cached))
-            return cached;
-    }
+    const std::string sidecar = resumeFile(index, ".sampled.stats");
+    StatDump cached;
+    if (loadStatsFile(sidecar, cached))
+        return cached;
     System sys(job.cfg, job.benchmarks);
     sys.runSampled(p);
     StatDump d = sys.dump();
-    if (!sidecar.empty())
-        writeStatsFile(sidecar, d);
+    writeStatsFile(sidecar, d);
     return d;
 }
 
@@ -306,17 +322,33 @@ runManyWarmShared(const SystemConfig &warm_cfg,
                   const std::vector<std::string> &benchmarks,
                   const std::vector<SystemConfig> &cfgs)
 {
-    const std::vector<std::uint8_t> warm =
-        System(warm_cfg, benchmarks).warmupCheckpointBytes();
+    // Reload finished jobs' sidecars first: the warm image is built
+    // only if some job still has to run.
+    std::vector<std::optional<StatDump>> cached(cfgs.size());
+    bool need_warm = false;
+    for (std::size_t i = 0; i < cfgs.size(); ++i) {
+        StatDump d;
+        if (loadStatsFile(resumeFile(i, ".warm.stats"), d))
+            cached[i] = std::move(d);
+        else
+            need_warm = true;
+    }
+    std::vector<std::uint8_t> warm;
+    if (need_warm)
+        warm = System(warm_cfg, benchmarks).warmupCheckpointBytes();
     return resultsOrThrow(
         "runManyWarmShared",
         sweep::run(cfgs.size(), benchThreads(), [&](std::size_t i) {
+            if (cached[i])
+                return *cached[i];
             SystemConfig cfg = cfgs[i];
             cfg.warmup_uops = 0;
             System sys(cfg, benchmarks);
             sys.restoreCheckpointBytes(warm);
             sys.run();
-            return sys.dump();
+            StatDump d = sys.dump();
+            writeStatsFile(resumeFile(i, ".warm.stats"), d);
+            return d;
         }));
 }
 

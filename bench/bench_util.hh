@@ -104,6 +104,10 @@ std::vector<StatDump> runMany(const std::vector<RunJob> &jobs,
  * the results equal warming each config independently from
  * @p warm_cfg — only the redundant warmup work is saved.
  * EMC_TRACE is ignored for these runs (restore refuses tracers).
+ * EMC_CKPT_DIR (or EMC_CKPT_STORE) resume applies at job granularity:
+ * a finished job's "<dir>/jobN.warm.stats" sidecar is reloaded
+ * instead of re-simulating, and the warm image is built only if some
+ * job has no sidecar yet.
  */
 std::vector<StatDump>
 runManyWarmShared(const SystemConfig &warm_cfg,
@@ -116,11 +120,11 @@ runManyWarmShared(const SystemConfig &warm_cfg,
  * per core with fast-forwarded gaps to @p p.period, and its StatDump
  * carries the per-window means and 95% CIs as `sampled.*` keys
  * alongside the usual stats (which then cover detailed windows only).
- * Results are job-indexed like runMany(). EMC_CKPT_DIR resume applies
- * at job granularity: a finished job's "<dir>/jobN.sampled.stats"
- * sidecar is reloaded instead of re-simulating, while an interrupted
- * job restarts from scratch (the fastwarm phase has no mid-run
- * checkpoint).
+ * Results are job-indexed like runMany(). EMC_CKPT_DIR (or
+ * EMC_CKPT_STORE) resume applies at job granularity: a finished job's
+ * "<dir>/jobN.sampled.stats" sidecar is reloaded instead of
+ * re-simulating, while an interrupted job restarts from scratch (the
+ * fastwarm phase has no mid-run checkpoint).
  */
 std::vector<StatDump> runManySampled(const std::vector<RunJob> &jobs,
                                      const SampleParams &p);

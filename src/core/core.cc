@@ -91,90 +91,6 @@ Core::tick()
         runaheadStep();
 }
 
-bool
-Core::stalledOnMissHead() const
-{
-    // Mirrors the full-window-stall trigger in retireStage.
-    if (rob_.empty())
-        return false;
-    if (!(robFull() || rs_occupancy_ >= cfg_.rs_size))
-        return false;
-    const RobEntry &head = rob_.front();
-    return isLoad(head.d.uop.op) && !head.completed
-           && head.mem_outstanding && head.llc_miss;
-}
-
-Cycle
-Core::quiescentUntil() const
-{
-    // Any pipeline stage that would change state this cycle means the
-    // core is busy. The checks shadow tick()'s stages in order.
-    if (in_runahead_)
-        return 0;
-    if (!rob_.empty() && rob_.front().completed)
-        return 0;  // retirement can proceed
-    if (!ready_q_.empty() || !retry_q_.empty())
-        return 0;  // issue/execute has work
-    if (!store_buffer_.empty())
-        return 0;  // post-retire store drain
-
-    // Fetch is quiescent only when the next uop is already known (the
-    // deferred slot) and provably resource-blocked; pulling from the
-    // trace or replay queue mutates state.
-    if (!fetch_blocked_) {
-        if (!have_deferred_uop_)
-            return 0;
-        const DynUop &d = deferred_uop_;
-        const bool blocked =
-            robFull() || rs_occupancy_ >= cfg_.rs_size
-            || (isLoad(d.uop.op) && lq_occupancy_ >= cfg_.lq_size)
-            || (isStore(d.uop.op) && sq_.size() >= cfg_.sq_size)
-            || (d.uop.hasDst() && free_list_.empty());
-        if (!blocked)
-            return 0;
-    }
-
-    // The full-window stall path runs side effects every cycle unless
-    // they already fired for this head: chain generation is a no-op
-    // only once a chain is in flight or the head was already tried,
-    // and runahead entry can trigger on any stalled cycle.
-    if (stalledOnMissHead()) {
-        if (cfg_.runahead_enabled)
-            return 0;
-        if (cfg_.emc_enabled && !chain_in_progress_
-            && rob_.front().seq != last_chain_source_seq_)
-            return 0;
-    }
-
-    // Otherwise the core only acts again at one of its timed wakeups.
-    Cycle t = kNoCycle;
-    if (chain_in_progress_)
-        t = std::min(t, chain_send_cycle_);
-    if (fetch_blocked_ && fetch_resume_ != 0)
-        t = std::min(t, fetch_resume_);
-    // lint-ok: unordered-iter (min over keys is order-insensitive)
-    for (const auto &kv : complete_at_)
-        t = std::min(t, kv.first);
-    if (!counter_updates_.empty())
-        t = std::min(t, counter_updates_.front().first);
-    return t;
-}
-
-void
-Core::skipIdleCycles(std::uint64_t n)
-{
-    // Keep now_ in sync so event handlers (fill arrival, chain
-    // results) that run before the next tick() see the same clock they
-    // would have under cycle-by-cycle ticking.
-    now_ += n;
-    stats_.cycles += n;
-    // The stall predicate is stable across skipped cycles (nothing
-    // the skip bypasses can change it), so bulk-account the counter
-    // retireStage would have bumped each cycle.
-    if (stalledOnMissHead())
-        stats_.full_window_stall_cycles += n;
-}
-
 // --------------------------------------------------------------------
 // Functional warming (DESIGN.md §8)
 // --------------------------------------------------------------------

@@ -209,25 +209,6 @@ class Core
     /** Advance one cycle. */
     void tick();
 
-    /**
-     * Idle-cycle skip support (see DESIGN.md, "Event-queue and
-     * cycle-skipping invariants"). Reports whether tick() would be a
-     * pure bookkeeping no-op right now, and if so until when.
-     *
-     * @return 0 when the core may do real work this cycle; otherwise
-     *         the earliest future cycle at which it can act on its own
-     *         (kNoCycle when it can only be woken externally)
-     */
-    Cycle quiescentUntil() const;
-
-    /**
-     * Account @p n skipped quiescent cycles: exactly the per-cycle
-     * counter updates tick() would have made (cycle count, and the
-     * full-window stall counter when the stall condition holds).
-     * Only valid while quiescentUntil() != 0.
-     */
-    void skipIdleCycles(std::uint64_t n);
-
     // ---- notifications from the System ----
 
     /**
@@ -579,7 +560,6 @@ class Core
     RobEntry *bySeq(std::uint64_t seq);
     const RobEntry *bySeq(std::uint64_t seq) const;
     bool robFull() const { return rob_.size() >= cfg_.rob_size; }
-    bool stalledOnMissHead() const;
     void wakeup(std::uint16_t preg);
     void executeAlu(RobEntry &e);
     bool tryExecuteLoad(RobEntry &e);

@@ -123,13 +123,6 @@ class DramChannel
                || !in_flight_.empty();
     }
 
-    /**
-     * Next cycle at which tick() has a timed side effect even with no
-     * requests anywhere: the refresh boundary (refresh fires and
-     * counts as soon as now reaches it).
-     */
-    Cycle nextRefresh() const { return next_refresh_; }
-
     /** Expose bank state for tests. */
     const Bank &bank(unsigned rank, unsigned b) const;
 

@@ -48,9 +48,9 @@ StatStreamer::snapshot(Cycle now, const StatDump &d)
     if (!out_ || now < next_)
         return;
     writeLine(now, d);
-    // Advance past `now` in whole intervals: a cycle-skipped idle
-    // region yields one snapshot, not a burst of stale duplicates.
-    next_ += ((now - next_) / interval_ + 1) * interval_;
+    // The System ticks every cycle and no restore moves the clock
+    // while a streamer is attached, so `now` is exactly next_.
+    next_ += interval_;
 }
 
 void

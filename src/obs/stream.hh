@@ -6,9 +6,9 @@
  * JSONL file — one self-contained JSON object per line, carrying the
  * snapshot cycle and the full flat name -> value map — so a run's
  * stats become a time series instead of a single end-of-run
- * aggregate. The System drives it from the event loop (cycle-skip
- * aware: a skipped idle region still produces its due snapshots) and
- * writes a final snapshot when the run ends.
+ * aggregate. The System calls it from the event loop on each cycle
+ * that reaches the next interval boundary and writes a final snapshot
+ * when the run ends.
  */
 
 #ifndef EMC_OBS_STREAM_HH

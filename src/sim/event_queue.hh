@@ -102,10 +102,7 @@ class CalendarQueue
         return false;
     }
 
-    /**
-     * Earliest scheduled cycle (kNoCycle when empty). Used by the
-     * idle-cycle skip to bound how far the clock may jump.
-     */
+    /** Earliest scheduled cycle (kNoCycle when empty). */
     Cycle
     nextCycle() const
     {

@@ -217,10 +217,8 @@ System::runSampled(const SampleParams &p)
 
         for (auto &c : cores_)
             c->pauseFetch(false);
-        while (!window_done() && now_ < cfg_.max_cycles) {
-            maybeSkipIdle();
+        while (!window_done() && now_ < cfg_.max_cycles)
             tickOnce();
-        }
 
         const Cycle win_cycles = now_ - win_start;
         std::uint64_t end_retired = 0;

@@ -247,10 +247,6 @@ System::System(const SystemConfig &cfg,
     finish_snapshot_.resize(cfg.num_cores);
     snapshotted_.assign(cfg.num_cores, false);
 
-    // Escape hatch for A/B timing comparisons: force cycle-by-cycle
-    // ticking even across provably idle gaps.
-    cycle_skip_enabled_ = std::getenv("EMC_NO_CYCLE_SKIP") == nullptr;
-
 #ifdef EMC_SIM_CHECK
     enableInvariantChecks();
 #endif
@@ -1629,81 +1625,11 @@ System::resetMeasurement()
     warmup_end_cycle_ = now_;
 }
 
-Cycle
-System::quiescentUntil() const
-{
-    // Any component with per-cycle work forces cycle-by-cycle
-    // ticking. Checks are ordered cheapest / most-likely-busy first
-    // so the common (busy) case costs a few loads per tick.
-    for (const auto &mcv : channels_) {
-        for (const auto &ch : mcv) {
-            if (ch->busy())
-                return 0;
-        }
-    }
-    if (control_ring_.pending() != 0 || data_ring_.pending() != 0)
-        return 0;
-    for (const auto &pf : prefetchers_) {
-        if (pf->queued() != 0)
-            return 0;
-    }
-    for (const auto &e : emcs_) {
-        if (!e->idle())
-            return 0;
-    }
-
-    Cycle t = kNoCycle;
-    for (const auto &c : cores_) {
-        const Cycle ct = c->quiescentUntil();
-        if (ct == 0)
-            return 0;
-        t = std::min(t, ct);
-    }
-    // Everything is idle: bound the jump by the next event and by
-    // each channel's refresh boundary (an idle channel still
-    // refreshes on schedule, and the refresh must fire on its exact
-    // cycle).
-    t = std::min(t, events_.nextCycle());
-    for (const auto &mcv : channels_) {
-        for (const auto &ch : mcv)
-            t = std::min(t, ch->nextRefresh());
-    }
-    return t;
-}
-
-void
-System::maybeSkipIdle()
-{
-    if (!cycle_skip_enabled_ || now_ < next_skip_check_)
-        return;
-    const Cycle target = std::min(quiescentUntil(), cfg_.max_cycles);
-    if (target <= now_ + 1) {
-        // Busy, or the next tick is already the wakeup. Back off so
-        // the quiescence scan doesn't tax memory-bound phases where
-        // the machine is never idle; skipping is purely an
-        // optimization, so deferring the next attempt never changes
-        // any stat (only shortens the windows we manage to skip).
-        // The backoff doubles per consecutive failure (up to the cap)
-        // so phases that never go idle converge to one scan per 4096
-        // cycles instead of one per 16, and resets as soon as a skip
-        // succeeds so bursty-idle phases keep skipping promptly.
-        next_skip_check_ = now_ + skip_backoff_;
-        skip_backoff_ = std::min(skip_backoff_ * 2, kSkipBackoffMax);
-        return;
-    }
-    skip_backoff_ = kSkipBackoffMin;
-    const std::uint64_t n = target - (now_ + 1);
-    now_ += n;
-    for (auto &c : cores_)
-        c->skipIdleCycles(n);
-}
-
 void
 System::run()
 {
     if (cfg_.warmup_uops > 0 && !warmed_up_) {
         while (!allRetired(cfg_.warmup_uops) && now_ < cfg_.max_cycles) {
-            maybeSkipIdle();
             tickOnce();
             if (streamer_ && now_ >= streamer_->nextDue())
                 streamer_->snapshot(now_, dump());
@@ -1713,7 +1639,6 @@ System::run()
         warmed_up_ = true;
     }
     while (!finished() && now_ < cfg_.max_cycles) {
-        maybeSkipIdle();
         tickOnce();
         if (streamer_ && now_ >= streamer_->nextDue())
             streamer_->snapshot(now_, dump());

@@ -471,17 +471,6 @@ class System : public CorePort
     void processEvents();
     void resetMeasurement();
 
-    /**
-     * Cycles the whole chip can provably skip: 0 when any component
-     * has per-cycle work, else the earliest future cycle at which
-     * anything (an event, a core wakeup, a DRAM refresh) happens.
-     * run() uses this to jump the clock across dead time without
-     * changing any observable statistic.
-     */
-    Cycle quiescentUntil() const;
-
-    /** Jump the clock over a quiescent gap (no-op when busy). */
-    void maybeSkipIdle();
     bool allRetired(std::uint64_t target) const;
     /** Throw trace::Error if core @p i drained its trace short of
      *  @p target retired uops (it could only spin to max_cycles). */
@@ -567,14 +556,6 @@ class System : public CorePort
     IdSlabPool<Txn> txns_;
     std::uint64_t next_txn_ = 1;
     CalendarQueue<Event> events_;
-    bool cycle_skip_enabled_ = true;  ///< EMC_NO_CYCLE_SKIP clears it
-    Cycle next_skip_check_ = 0;       ///< backoff after failed skips
-    /// Adaptive failed-skip backoff: doubles per consecutive failed
-    /// attempt up to the cap, resets on a successful skip, so phases
-    /// that never go idle stop paying for the quiescence scan.
-    Cycle skip_backoff_ = kSkipBackoffMin;
-    static constexpr Cycle kSkipBackoffMin = 16;
-    static constexpr Cycle kSkipBackoffMax = 4096;
     std::unordered_map<std::uint64_t, InFlightChain> chains_in_flight_;
     std::unordered_map<std::uint64_t, InFlightResult> results_in_flight_;
     std::unordered_map<std::uint64_t, LsqMsg> lsq_msgs_;

@@ -69,8 +69,6 @@ System::ckptPayload(ckpt::Ar &ar, ckpt::Level level,
         ar.io(now_);
         ar.io(warmed_up_);
         ar.io(warmup_end_cycle_);
-        ar.io(next_skip_check_);
-        ar.io(skip_backoff_);
         ar.io(next_deep_check_);
         ar.io(traffic_);
         ar.io(finish_cycle_);
@@ -311,10 +309,8 @@ System::warmupCheckpointBytes()
     // This perturbs *this* System's subsequent timing (extra drain
     // cycles, gated fetch); savers are expected to be dedicated
     // warmup runs that are discarded afterwards.
-    while (!allRetired(cfg_.warmup_uops) && now_ < cfg_.max_cycles) {
-        maybeSkipIdle();
+    while (!allRetired(cfg_.warmup_uops) && now_ < cfg_.max_cycles)
         tickOnce();
-    }
     if (!allRetired(cfg_.warmup_uops))
         throw ckpt::Error("hit max_cycles before warmup completed");
     ckptDrainForWarmup();

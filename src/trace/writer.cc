@@ -24,11 +24,22 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
         out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
 }
 
+// resize + memcpy, not insert(): GCC 12 misreads the inlined range
+// insert into a fresh buffer as an overflow (-Wstringop-overflow).
+void
+putBytes(std::vector<std::uint8_t> &out, const void *p, std::size_t n)
+{
+    const std::size_t at = out.size();
+    out.resize(at + n);
+    if (n != 0)
+        std::memcpy(out.data() + at, p, n);
+}
+
 void
 putString(std::vector<std::uint8_t> &out, const std::string &s)
 {
     putU32(out, static_cast<std::uint32_t>(s.size()));
-    out.insert(out.end(), s.begin(), s.end());
+    putBytes(out, s.data(), s.size());
 }
 
 } // namespace
@@ -44,7 +55,7 @@ Writer::Writer(const std::string &path, Provenance prov, bool compress,
         throw Error("cannot open trace file for writing: " + path, 0);
 
     std::vector<std::uint8_t> h;
-    h.insert(h.end(), kMagic, kMagic + 4);
+    putBytes(h, kMagic, 4);
     putU32(h, kVersion);
     putU64(h, 0);  // header_bytes, patched below once the size is known
     putU64(h, 0);  // uop_count      (patched in close)
@@ -148,7 +159,7 @@ Writer::close()
 
     const std::uint64_t index_offset = offset_;
     std::vector<std::uint8_t> idx;
-    idx.insert(idx.end(), kIndexMagic, kIndexMagic + 8);
+    putBytes(idx, kIndexMagic, 8);
     for (const IndexEntry &e : index_) {
         putU64(idx, e.offset);
         putU64(idx, e.first_uop);

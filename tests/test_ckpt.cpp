@@ -11,8 +11,8 @@
  *    violations
  *  - warmup-level images fork into differing EMC/prefetcher configs,
  *    deterministically (byte-identical images run-to-run)
- *  - config-hash gating, corrupt/truncated images, forged inflate
- *    sizes, and refusal paths
+ *  - config-hash gating, corrupt/truncated images, images of the
+ *    previous format version, forged inflate sizes, and refusal paths
  *  - container element counts read from a stream are bounded by the
  *    bytes left, so a corrupt count throws ckpt::Error
  *  - bench harness: per-job failure isolation in runMany(), the
@@ -20,6 +20,7 @@
  *    crash-resume through EMC_CKPT_DIR autosaves
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -264,6 +265,37 @@ TEST(CkptFull, CorruptImagesAreRejected)
         EXPECT_THROW(sys.restoreCheckpointBytes({}), emc::ckpt::Error);
         EXPECT_THROW(sys.restoreCheckpoint(tmpPath("missing.ckpt")),
                      emc::ckpt::Error);
+    }
+}
+
+TEST(CkptFull, PreviousVersionIsRejected)
+{
+    System saver(smallConfig(), smallMix());
+    const auto image =
+        saver.saveCheckpointBytes(emc::ckpt::Level::kFull);
+
+    // Re-serialise the header with the previous version word. The
+    // payload and its CRC are untouched and the header keeps its
+    // length, so only the version check can reject the image.
+    std::size_t payload_off = 0;
+    emc::ckpt::Header h = emc::ckpt::parseHeader(image, &payload_off);
+    ASSERT_EQ(h.version, emc::ckpt::kVersion);
+    const std::uint32_t old_version = emc::ckpt::kVersion - 1;
+    h.version = old_version;
+    const std::vector<std::uint8_t> hb = emc::ckpt::save(h);
+    ASSERT_EQ(16 + hb.size(), payload_off);
+    auto forged = image;
+    std::copy(hb.begin(), hb.end(), forged.begin() + 16);
+
+    System sys(smallConfig(), smallMix());
+    try {
+        sys.restoreCheckpointBytes(forged);
+        FAIL() << "a version " << old_version << " image was restored";
+    } catch (const emc::ckpt::Error &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "version " + std::to_string(old_version)),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -4,9 +4,9 @@
  * field-for-field identical StatDump whether the System runs alone,
  * again in the same process, or inside the parallel bench harness
  * with several runs in flight on worker threads. This is the
- * regression gate for the event-queue / cycle-skipping / txn-pool
- * fast paths — any tie-break or ordering change shows up here as a
- * stat mismatch long before it would be noticed in a figure.
+ * regression gate for the event-queue and txn-pool fast paths — any
+ * tie-break or ordering change shows up here as a stat mismatch long
+ * before it would be noticed in a figure.
  */
 
 #include <cstdlib>
@@ -94,13 +94,4 @@ TEST(Determinism, ParallelHarnessMatchesSequential)
     // (otherwise the leakage check above checks nothing).
     EXPECT_NE(sequential.get("prefetch.issued"),
               res[1].get("prefetch.issued"));
-}
-
-TEST(Determinism, CycleSkipDoesNotChangeAnyStat)
-{
-    const StatDump fast = emc::bench::run(testConfig(), testMix());
-    setenv("EMC_NO_CYCLE_SKIP", "1", 1);
-    const StatDump slow = emc::bench::run(testConfig(), testMix());
-    unsetenv("EMC_NO_CYCLE_SKIP");
-    expectIdentical(fast, slow, "cycle-skip vs cycle-by-cycle");
 }

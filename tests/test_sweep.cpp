@@ -8,7 +8,8 @@
  *    its job while the other jobs run to completion
  *  - the bench entry points fail with one message format
  *  - EMC_TRACE names follow submission order, not thread timing
- *  - runManySampled()'s EMC_CKPT_DIR sidecar resume
+ *  - runManySampled()'s and runManyWarmShared()'s EMC_CKPT_DIR
+ *    sidecar resume
  */
 
 #include <chrono>
@@ -306,4 +307,59 @@ TEST(Sweep, SampledSidecarResume)
 
     expectSameStats(fresh, first, "sampled with sidecars");
     expectSameStats(first, resumed, "sampled resumed from sidecars");
+}
+
+TEST(Sweep, WarmSharedSidecarResume)
+{
+    // runManyWarmShared() honors EMC_CKPT_DIR at job granularity: a
+    // rerun reloads every finished job's sidecar, builds no warm
+    // image when all jobs have one, and re-simulates only the jobs
+    // whose sidecar is missing.
+    emc::SystemConfig warm_cfg;
+    warm_cfg.num_cores = 1;
+    warm_cfg.target_uops = 800;
+    warm_cfg.warmup_uops = 400;
+    const std::vector<std::string> mix = {"mcf"};
+    std::vector<emc::SystemConfig> points = {warm_cfg, warm_cfg};
+    points[1].emc_enabled = true;
+
+    const std::vector<StatDump> fresh =
+        emc::bench::runManyWarmShared(warm_cfg, mix, points);
+
+    const std::string dir = tmpDir("warm");
+    setenv("EMC_CKPT_DIR", dir.c_str(), 1);
+    const std::vector<StatDump> first =
+        emc::bench::runManyWarmShared(warm_cfg, mix, points);
+    ASSERT_TRUE(fileExists(dir + "/job0.warm.stats"));
+    ASSERT_TRUE(fileExists(dir + "/job1.warm.stats"));
+
+    // With every sidecar present the warm image is never built: a
+    // warm config that cannot take one would otherwise throw. A
+    // marker row shows job 1 came from its sidecar.
+    std::ofstream(dir + "/job1.warm.stats", std::ios::app)
+        << "test.marker 7\n";
+    emc::SystemConfig no_warmup = warm_cfg;
+    no_warmup.warmup_uops = 0;
+    std::vector<StatDump> resumed;
+    ASSERT_NO_THROW(
+        resumed = emc::bench::runManyWarmShared(no_warmup, mix, points));
+    EXPECT_EQ(resumed[1].get("test.marker"), 7.0);
+    EXPECT_EQ(resumed[1].get("system.cycles"),
+              fresh[1].get("system.cycles"));
+
+    // A job without a sidecar is re-simulated from a fresh warm image.
+    std::filesystem::remove(dir + "/job0.warm.stats");
+    const std::vector<StatDump> partial =
+        emc::bench::runManyWarmShared(warm_cfg, mix, points);
+    ASSERT_TRUE(fileExists(dir + "/job0.warm.stats"));
+    unsetenv("EMC_CKPT_DIR");
+
+    expectSameStats(fresh, first, "warm-shared with sidecars");
+    expectSameStats({fresh[0]}, {resumed[0]},
+                    "warm-shared resumed from sidecars");
+    expectSameStats({fresh[0]}, {partial[0]},
+                    "warm-shared job re-simulated after resume");
+    EXPECT_NE(fresh[0].get("system.cycles"),
+              fresh[1].get("system.cycles"));
+    std::filesystem::remove_all(dir);
 }
